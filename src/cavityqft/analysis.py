@@ -224,10 +224,13 @@ class NoiseBudget:
     delta_S_max: float | None = None
 
     def __post_init__(self) -> None:
-        if self.T2_us <= 0.0:
-            raise ValueError("T2 must be positive")
+        # negated comparisons so that NaN fails them
+        if not self.T2_us > 0.0:
+            raise ValueError(f"T2 must be positive, got {self.T2_us}")
         if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must be in [0, 1]")
+            raise ValueError(f"p must be in [0, 1], got {self.p}")
+        if not self.T_cycle_ns >= 0.0:
+            raise ValueError(f"T_cycle must be nonnegative, got {self.T_cycle_ns}")
         if self.K is not None and self.K < 1:
             raise ValueError("K must be >= 1")
         if self.dk_mode not in ("exact", "approximate"):
@@ -475,8 +478,8 @@ def simulate_noisy_protocol(
     losses = None
     if not budget.ideal_gates:
         losses = solve_gate_losses(budget.gates, k_eff, budget.delta_S_max)
-        delta_0, delta_Z = cav.default_operating_point(budget.gates)
 
+    # one density matrix, owned by this run and updated in place throughout
     state = input_state.to_density()
     weight = 1.0
     t2_ns = budget.T2_us * 1000.0
@@ -485,24 +488,21 @@ def simulate_noisy_protocol(
         if event.kind != "Reflect":
             continue
         if prev_time is not None and math.isfinite(t2_ns):
-            state = circ.dephasing_channel(state, ATOM, event.time - prev_time, t2_ns)
+            circ._dephase(state, ATOM, math.exp(-(event.time - prev_time) / t2_ns))
         prev_time = event.time
         target = circ.photon(event.photon)
         if losses is None:
-            state = circ.apply_gate(state, circ.GateOp.controlled_phase(event.k, target))
+            circ._apply(state, circ.GateOp.controlled_phase(event.k, target))
         else:
             loss = losses[event.k]
-            res = cav.controlled_phase(
-                budget.gates, OperatingPoint(delta_0, delta_Z, loss.delta_S)
-            )
-            state, w = circ.lossy_reflection(state, event.k, target, res.r_up, res.r_down)
+            w = circ._lossy_reflection(state, event.k, target, loss.r_up_abs, loss.r_down_abs)
             weight *= w
-            state = QuantumState(state.n, state.data / w, density=True)
+            state.data /= w
         for gate in event.after_gates:
             if gate.qubit == ATOM:
-                state = circ.noisy_hadamard(state, ATOM, budget.p)
+                circ._noisy_hadamard(state, ATOM, budget.p)
             else:
-                state = circ.apply_gate(state, gate)
+                circ._apply(state, gate)
     return state, weight
 
 
@@ -548,7 +548,7 @@ def validate_bound_small_n(
 
     distances = []
     for state in inputs:
-        ideal = circ.simulate_program(ideal_program, state.copy()).to_density()
+        ideal = circ.simulate_program(ideal_program, state).to_density()
         noisy, _ = simulate_noisy_protocol(n, budget, state)
         distances.append(trace_distance(noisy.data, ideal.data))
     worst = max(distances)

@@ -8,6 +8,22 @@ Output convention of the full program on |x1..xn>_p |0>_a (fixed
 empirically at n = 1, 2 and asserted for all larger n): photon 1 carries
 the initial ancilla state |0>, the atom carries output bit y1, and photon
 j (j >= 2) carries output bit y_{n+2-j} of the transform.
+
+Kernel layout: gates act in place on a strided view of the flat
+amplitude array (Haener & Steiger, arXiv:1704.01127).  A Hadamard on the
+qubit at bit position a works on `reshape(2**a, 2, -1)` and updates the
+two halves with two fused axpy-style passes; a CR_k multiplies the one
+quarter of the amplitudes whose atom and photon bits are both 1.  A
+density matrix over m qubits is the same array flattened to 2m qubits:
+U acts on row position a and conj(U) on column position a + m, so pure
+states and density matrices share one code path.  The noise channels
+scale blocks of the same views.
+
+The public functions never mutate their input: `apply_gate` and the
+channels copy the state once, `simulate_program` copies it once and
+then applies every gate to that copy in place.  The in-place forms
+(`_apply`, `_dephase`, `_noisy_hadamard`, `_lossy_reflection`) are for
+a caller that owns its state, as `analysis.simulate_noisy_protocol` does.
 """
 from __future__ import annotations
 
@@ -20,7 +36,7 @@ import numpy as np
 MAX_PURE_QUBITS = 20
 MAX_DENSITY_QUBITS = 8
 
-_H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
+_SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 class ArityMismatch(ValueError):
@@ -65,13 +81,11 @@ class GateOp:
     name "CR": controlled phase diag(1,1,1,e^{i 2 pi / 2^k}) between the
         atom and photon `qubit`.
     name "SWAP": atom <-> photon `qubit` exchange.
-    name "PHASEFIX": diag(1, e^{i angle}) on `qubit`.
     """
 
     name: str
     qubit: QubitRef | None = None
     k: int | None = None
-    angle: float | None = None
 
     @staticmethod
     def hadamard(q: QubitRef) -> "GateOp":
@@ -88,10 +102,6 @@ class GateOp:
     @staticmethod
     def swap(j: int) -> "GateOp":
         return GateOp("SWAP", qubit=photon(j))
-
-    @staticmethod
-    def phase_fix(angle: float, q: QubitRef = ATOM) -> "GateOp":
-        return GateOp("PHASEFIX", qubit=q, angle=float(angle))
 
 
 @dataclass(frozen=True)
@@ -147,9 +157,11 @@ class QuantumState:
         bits = list(photon_bits)
         if len(bits) != n:
             raise ValueError(f"need {n} photon bits, got {len(bits)}")
-        index = atom_bit
+        if any(b not in (0, 1) for b in (atom_bit, *bits)):
+            raise ValueError(f"basis bits must be 0 or 1, got atom {atom_bit!r}, photons {bits}")
+        index = int(atom_bit)
         for b in bits:
-            index = (index << 1) | (b & 1)
+            index = (index << 1) | int(b)
         vec = np.zeros(2 ** (n + 1), dtype=complex)
         vec[index] = 1.0
         return cls(n, vec)
@@ -160,6 +172,8 @@ class QuantumState:
         photon_amps = np.asarray(photon_amps, dtype=complex)
         if photon_amps.shape != (2**n,):
             raise ValueError(f"expected photon state of length {2**n}")
+        if atom_bit not in (0, 1):
+            raise ValueError(f"atom bit must be 0 or 1, got {atom_bit!r}")
         atom = np.zeros(2, dtype=complex)
         atom[atom_bit] = 1.0
         return cls(n, np.kron(atom, photon_amps))
@@ -198,93 +212,53 @@ class QuantumState:
         return q.index
 
 
-def _apply_single(data: np.ndarray, axis: int, matrix: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 matrix to one tensor axis of an array reshaped to [2]*rank."""
-    tensor = np.moveaxis(data, axis, -1)
-    tensor = tensor @ matrix.T
-    return np.moveaxis(tensor, -1, axis)
+def _pair(data: np.ndarray, i: int, j: int) -> np.ndarray:
+    """View of flat `data` whose dimensions 1 and 3 are the bits at positions i < j."""
+    return data.reshape(2**i, 2, 2 ** (j - i - 1), 2, -1)
 
 
-def _pair_slice(rank: int, assignments: dict[int, int]) -> tuple:
-    idx: list = [slice(None)] * rank
-    for axis, value in assignments.items():
-        idx[axis] = value
-    return tuple(idx)
+def _apply_inplace(
+    data: np.ndarray, axis: int, gate: GateOp, atom: int = 0, conj: bool = False
+) -> None:
+    """Apply U (or conj(U)) of `gate` to the C-contiguous array `data` in place.
+
+    `axis` is the bit position of the gate's qubit in the flattened index
+    and `atom` that of the atom, which CR and SWAP also act on.
+    """
+    if gate.name == "H":
+        halves = data.reshape(2**axis, 2, -1)
+        lo, hi = halves[:, 0], halves[:, 1]
+        lo += hi
+        lo *= _SQRT_HALF  # (a + b) / sqrt2
+        hi *= -2.0 * _SQRT_HALF
+        hi += lo  # (a - b) / sqrt2
+    elif gate.name == "CR":
+        phase = np.exp(2j * math.pi / 2**gate.k)
+        _pair(data, atom, axis)[:, 1, :, 1] *= np.conj(phase) if conj else phase
+    elif gate.name == "SWAP":
+        view = _pair(data, atom, axis)
+        held = view[:, 0, :, 1].copy()
+        view[:, 0, :, 1] = view[:, 1, :, 0]
+        view[:, 1, :, 0] = held
+    else:
+        raise ValueError(f"unknown gate {gate.name!r}")
 
 
-class _Register:
-    """Tensor view of a state with unitary single/diagonal gate application."""
-
-    def __init__(self, state: QuantumState):
-        self.state = state
+def _apply(state: QuantumState, gate: GateOp) -> None:
+    """Apply a gate unitary to `state` in place: U on the (row) index, and
+    conj(U) on the column index of a density matrix."""
+    axis = state._qubit_axis(gate.qubit)
+    _apply_inplace(state.data, axis, gate)
+    if state.density:
         m = state.num_qubits
-        if state.density:
-            self.rank = 2 * m
-        else:
-            self.rank = m
-        self.m = m
-        self.tensor = state.data.reshape([2] * self.rank)
-
-    def finish(self) -> QuantumState:
-        if self.state.density:
-            dim = 2**self.m
-            data = self.tensor.reshape(dim, dim)
-        else:
-            data = self.tensor.reshape(-1)
-        return QuantumState(self.state.n, data, self.state.density)
-
-    def single(self, axis: int, matrix: np.ndarray) -> None:
-        self.tensor = _apply_single(self.tensor, axis, matrix)
-        if self.state.density:
-            self.tensor = _apply_single(self.tensor, axis + self.m, matrix.conj())
-
-    def phase_on(self, assignments: dict[int, int], phase: complex) -> None:
-        """Multiply the amplitudes selected by bit assignments by a phase."""
-        self.tensor = self.tensor.copy()
-        self.tensor[_pair_slice(self.rank, assignments)] *= phase
-        if self.state.density:
-            col = {axis + self.m: v for axis, v in assignments.items()}
-            self.tensor[_pair_slice(self.rank, col)] *= np.conj(phase)
-
-    def scale_axis_values(self, axis_factors: dict[tuple[int, ...], float], axes: tuple[int, ...]) -> None:
-        """Multiply amplitudes by real factors keyed on the bit values of `axes`."""
-        self.tensor = self.tensor.copy()
-        for bits, factor in axis_factors.items():
-            if factor == 1.0:
-                continue
-            self.tensor[_pair_slice(self.rank, dict(zip(axes, bits)))] *= factor
-        if self.state.density:
-            col_axes = tuple(a + self.m for a in axes)
-            for bits, factor in axis_factors.items():
-                if factor == 1.0:
-                    continue
-                self.tensor[_pair_slice(self.rank, dict(zip(col_axes, bits)))] *= factor
-
-    def swap_axes(self, a: int, b: int) -> None:
-        order = list(range(self.rank))
-        order[a], order[b] = order[b], order[a]
-        if self.state.density:
-            order[a + self.m], order[b + self.m] = order[b + self.m], order[a + self.m]
-        self.tensor = np.transpose(self.tensor, order)
+        _apply_inplace(state.data, axis + m, gate, atom=m, conj=True)
 
 
 def apply_gate(state: QuantumState, gate: GateOp) -> QuantumState:
-    """Apply one gate unitary; norm/trace preserving."""
-    reg = _Register(state)
-    if gate.name == "H":
-        reg.single(state._qubit_axis(gate.qubit), _H_MATRIX)
-    elif gate.name == "CR":
-        axis = state._qubit_axis(gate.qubit)
-        phase = np.exp(2j * math.pi / 2**gate.k)
-        reg.phase_on({0: 1, axis: 1}, phase)
-    elif gate.name == "SWAP":
-        reg.swap_axes(0, state._qubit_axis(gate.qubit))
-    elif gate.name == "PHASEFIX":
-        axis = state._qubit_axis(gate.qubit)
-        reg.phase_on({axis: 1}, np.exp(1j * gate.angle))
-    else:
-        raise ValueError(f"unknown gate {gate.name!r}")
-    return reg.finish()
+    """Apply one gate unitary to a copy of `state`; norm/trace preserving."""
+    out = state.copy()
+    _apply(out, gate)
+    return out
 
 
 def swap_from_cr1(j: int) -> list[GateOp]:
@@ -353,12 +327,13 @@ def embed_qft_output(n: int, amplitudes: np.ndarray) -> np.ndarray:
 
 
 def simulate_program(program: CircuitProgram, state: QuantumState) -> QuantumState:
-    """Sequential deterministic application of every gate in the program."""
+    """Every gate of the program applied in order to a copy of `state`."""
     if state.n != program.arity:
         raise ArityMismatch(f"state has n={state.n}, program arity {program.arity}")
+    out = state.copy()
     for gate in program.gates:
-        state = apply_gate(state, gate)
-    return state
+        _apply(out, gate)
+    return out
 
 
 # --- noise channels (density-matrix only) ---------------------------------
@@ -369,18 +344,33 @@ def _require_density(state: QuantumState) -> None:
         raise ValueError("noise channels act on density matrices")
 
 
+def _dephase(state: QuantumState, qubit: QubitRef, factor: float) -> None:
+    """Scale the coherences of `qubit` by `factor` in place: the two blocks
+    where its row and column bits differ."""
+    axis = state._qubit_axis(qubit)
+    blocks = _pair(state.data, axis, axis + state.num_qubits)
+    blocks[:, 0, :, 1] *= factor
+    blocks[:, 1, :, 0] *= factor
+
+
 def dephasing_channel(state: QuantumState, qubit: QubitRef, t: float, T2: float) -> QuantumState:
     """Damp the qubit's off-diagonal elements by e^{-t/T2}."""
     _require_density(state)
     if t < 0.0 or T2 <= 0.0:
         raise ValueError("need t >= 0 and T2 > 0")
-    factor = math.exp(-t / T2) if math.isfinite(T2) else 1.0
-    axis = state._qubit_axis(qubit)
-    m = state.num_qubits
-    tensor = state.data.reshape([2] * (2 * m)).copy()
-    tensor[_pair_slice(2 * m, {axis: 0, axis + m: 1})] *= factor
-    tensor[_pair_slice(2 * m, {axis: 1, axis + m: 0})] *= factor
-    return QuantumState(state.n, tensor.reshape(2**m, 2**m), density=True)
+    out = state.copy()
+    _dephase(out, qubit, math.exp(-t / T2) if math.isfinite(T2) else 1.0)
+    return out
+
+
+def _noisy_hadamard(state: QuantumState, qubit: QubitRef, p: float) -> None:
+    """In-place (1 - p) H rho H + p Z H rho H Z.
+
+    Z-conjugation flips the sign of the qubit's coherences and leaves the
+    rest alone, so the mixture scales the coherences by 1 - 2p.
+    """
+    _apply(state, GateOp.hadamard(qubit))
+    _dephase(state, qubit, 1.0 - 2.0 * p)
 
 
 def noisy_hadamard(state: QuantumState, qubit: QubitRef, p: float) -> QuantumState:
@@ -388,15 +378,26 @@ def noisy_hadamard(state: QuantumState, qubit: QubitRef, p: float) -> QuantumSta
     _require_density(state)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    out = apply_gate(state, GateOp.hadamard(qubit))
-    if p == 0.0:
-        return out
-    z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    reg = _Register(out.copy())
-    reg.single(state._qubit_axis(qubit), z)
-    flipped = reg.finish()
-    data = (1.0 - p) * out.data + p * flipped.data
-    return QuantumState(state.n, data, density=True)
+    out = state.copy()
+    _noisy_hadamard(out, qubit, p)
+    return out
+
+
+def _lossy_reflection(
+    state: QuantumState, k: int, target: QubitRef, mag_up: float, mag_down: float
+) -> float:
+    """In-place CR_k and loss measurement on a density matrix; returns its trace weight."""
+    _apply(state, GateOp.controlled_phase(k, target))
+    axis = state._qubit_axis(target)
+    for atom in (0, state.num_qubits):
+        # photon |1> is the lossy branch; atom |0> (spin up) sees |r_up|
+        lossy = _pair(state.data, atom, atom + axis)[:, :, :, 1]
+        lossy[:, 0] *= mag_up
+        lossy[:, 1] *= mag_down
+    weight = float(np.trace(state.data).real)
+    if weight < 1e-300:
+        raise ZeroWeight("post-selection weight underflowed")
+    return weight
 
 
 def lossy_reflection(
@@ -417,16 +418,8 @@ def lossy_reflection(
     mag_up, mag_down = abs(r_up), abs(r_down)
     if mag_up > 1.0 + 1e-12 or mag_down > 1.0 + 1e-12:
         raise ValueError("reflection magnitudes must not exceed 1")
-    out = apply_gate(state, GateOp.controlled_phase(k, target))
-    axis = out._qubit_axis(target)
-    reg = _Register(out)
-    # (photon bit, atom bit) -> eigenvalue of M; photon |1> is the lossy branch.
-    reg.scale_axis_values({(1, 0): mag_up, (1, 1): mag_down}, (axis, 0))
-    damped = reg.finish()
-    weight = float(np.trace(damped.data).real)
-    if weight < 1e-300:
-        raise ZeroWeight("post-selection weight underflowed")
-    return damped, weight
+    out = state.copy()
+    return out, _lossy_reflection(out, k, target, mag_up, mag_down)
 
 
 # --- serialization ---------------------------------------------------------
@@ -442,11 +435,6 @@ def program_to_text(program: CircuitProgram) -> str:
             lines.append(f"CR {gate.k} {gate.qubit}")
         elif gate.name == "SWAP":
             lines.append(f"SWAP {gate.qubit}")
-        elif gate.name == "PHASEFIX":
-            if gate.qubit == ATOM:
-                lines.append(f"PHASEFIX {gate.angle!r}")
-            else:
-                lines.append(f"PHASEFIX {gate.angle!r} {gate.qubit}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -471,9 +459,6 @@ def program_from_text(text: str, arity: int, cutoff: int) -> CircuitProgram:
             gates.append(GateOp.controlled_phase(int(parts[1]), _parse_qubit(parts[2])))
         elif parts[0] == "SWAP":
             gates.append(GateOp.swap(_parse_qubit(parts[1]).index))
-        elif parts[0] == "PHASEFIX":
-            qubit = _parse_qubit(parts[2]) if len(parts) > 2 else ATOM
-            gates.append(GateOp.phase_fix(float(parts[1]), qubit))
         else:
             raise ValueError(f"unknown gate line {line!r}")
     return CircuitProgram(arity=arity, cutoff=cutoff, gates=tuple(gates))

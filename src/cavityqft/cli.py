@@ -154,7 +154,7 @@ def cmd_simulate(args) -> int:
         T2_us=args.T2_us, p=args.p, K=cutoff, gates=gates
     )
     noisy, weight = analysis.simulate_noisy_protocol(n, budget, state)
-    ideal = circ.simulate_program(circ.build_qft_program(n, n), state.copy()).to_density()
+    ideal = circ.simulate_program(circ.build_qft_program(n, n), state).to_density()
     dist = analysis.trace_distance(noisy.data, ideal.data)
     report = analysis.total_distance(n, budget)
     rows = [

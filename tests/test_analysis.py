@@ -131,6 +131,16 @@ def test_diamond_oracle_dephasing_channel():
 # --- budget ---------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "field", [{"T2_us": math.nan}, {"p": math.nan}, {"T_cycle_ns": math.nan}, {"T_cycle_ns": -1.0}]
+)
+def test_budget_rejects_invalid_fields(field):
+    with pytest.raises(ValueError):
+        NoiseBudget(**{"T2_us": 20.0, "p": 0.01, **field})
+    # an infinite coherence time stays a valid budget
+    assert total_distance(3, NoiseBudget(T2_us=math.inf, p=0.01)).d_p == 0.0
+
+
 def test_total_distance_zero_noise():
     report = total_distance(1, NoiseBudget(T2_us=math.inf, p=0.0))
     assert report.D == 0.0

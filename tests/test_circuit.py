@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavityqft.circuit import (
     ATOM,
@@ -61,6 +63,17 @@ def test_basis_state_layout():
     # atom is the most significant bit, photons follow in order
     assert state.data[0b110] == 1.0
     assert state.norm() == pytest.approx(1.0)
+
+
+def test_basis_rejects_invalid_bits():
+    with pytest.raises(ValueError):
+        QuantumState.basis(2, [2, 1])
+    with pytest.raises(ValueError):
+        QuantumState.basis(1, [-1])
+    with pytest.raises(ValueError):
+        QuantumState.basis(1, [0], atom_bit=2)
+    with pytest.raises(ValueError):
+        QuantumState.from_photon_state(1, np.array([1.0, 0.0]), atom_bit=-1)
 
 
 def test_from_photon_state():
@@ -230,3 +243,126 @@ def test_lossy_reflection_unit_r_matches_ideal():
     ideal = apply_gate(state, GateOp.controlled_phase(2, photon(1)))
     assert w == pytest.approx(1.0)
     np.testing.assert_allclose(out.data, ideal.data, atol=1e-12)
+
+
+# --- kernels and channels against dense references ------------------------
+
+CUTOFF = 6
+_I2 = np.eye(2)
+_H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+_Z = np.diag([1.0, -1.0])
+_P = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]  # projectors onto |0>, |1>
+_E = [[np.outer(_I2[x], _I2[y]) for y in (0, 1)] for x in (0, 1)]  # |x><y|
+
+
+def dense(n: int, ops: dict) -> np.ndarray:
+    """Kronecker product over the register, ops[q] on qubit q (0 = atom)."""
+    out = np.ones((1, 1))
+    for q in range(n + 1):
+        out = np.kron(out, ops.get(q, _I2))
+    return out
+
+
+def _position(q: QubitRef) -> int:
+    return 0 if q == ATOM else q.index
+
+
+def gate_matrix(n: int, gate: GateOp) -> np.ndarray:
+    q = _position(gate.qubit)
+    if gate.name == "H":
+        return dense(n, {q: _H})
+    if gate.name == "CR":
+        phase = np.exp(2j * math.pi / 2**gate.k)
+        return np.eye(2 ** (n + 1)) + (phase - 1.0) * dense(n, {0: _P[1], q: _P[1]})
+    assert gate.name == "SWAP"
+    return sum(dense(n, {0: _E[x][y], q: _E[y][x]}) for x in (0, 1) for y in (0, 1))
+
+
+def random_states(n: int, seed: int) -> tuple[QuantumState, QuantumState]:
+    """A random pure state and a random full-rank density matrix."""
+    rng = np.random.default_rng(seed)
+    dim = 2 ** (n + 1)
+    amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = a @ a.conj().T
+    return (
+        QuantumState(n, amps / np.linalg.norm(amps)),
+        QuantumState(n, rho / np.trace(rho).real, density=True),
+    )
+
+
+@st.composite
+def circuits(draw):
+    n = draw(st.integers(1, 4))
+    photons = st.integers(1, n).map(photon)
+    gate = st.one_of(
+        st.one_of(st.just(ATOM), photons).map(GateOp.hadamard),
+        st.builds(GateOp.controlled_phase, st.integers(1, CUTOFF), photons),
+        st.integers(1, n).map(GateOp.swap),
+    )
+    return n, draw(st.lists(gate, max_size=12)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(circuits())
+def test_kernels_match_dense_reference(case):
+    n, gates, seed = case
+    u = np.eye(2 ** (n + 1))
+    for gate in gates:
+        u = gate_matrix(n, gate) @ u
+    program = CircuitProgram(arity=n, cutoff=CUTOFF, gates=tuple(gates))
+    for state in random_states(n, seed):
+        before = state.data.copy()
+        expect = u @ before @ u.conj().T if state.density else u @ before
+        np.testing.assert_allclose(simulate_program(program, state).data, expect, rtol=0, atol=1e-12)
+        stepped = state
+        for gate in gates:
+            stepped = apply_gate(stepped, gate)
+        np.testing.assert_allclose(stepped.data, expect, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(state.data, before)
+
+
+def kraus_sum(kraus: list[np.ndarray], rho: np.ndarray) -> np.ndarray:
+    return sum(k @ rho @ k.conj().T for k in kraus)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    t=st.floats(0.0, 10.0),
+    T2=st.floats(0.1, 100.0),
+    p=st.floats(0.0, 1.0),
+    mags=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)),
+    k=st.integers(1, CUTOFF),
+)
+def test_channels_match_kraus_sums(n, data, seed, t, T2, p, mags, k):
+    qubit = data.draw(st.one_of(st.just(ATOM), st.integers(1, n).map(photon)))
+    target = photon(data.draw(st.integers(1, n)))
+    _, state = random_states(n, seed)
+    rho = state.data.copy()
+    q, j = _position(qubit), target.index
+    eye = np.eye(2 ** (n + 1))
+
+    f = math.exp(-t / T2)
+    dephase = [math.sqrt((1 + f) / 2) * eye, math.sqrt((1 - f) / 2) * dense(n, {q: _Z})]
+    out = dephasing_channel(state, qubit, t, T2)
+    np.testing.assert_allclose(out.data, kraus_sum(dephase, rho), rtol=0, atol=1e-12)
+
+    h = dense(n, {q: _H})
+    flip = [math.sqrt(1 - p) * h, math.sqrt(p) * dense(n, {q: _Z}) @ h]
+    out = noisy_hadamard(state, qubit, p)
+    np.testing.assert_allclose(out.data, kraus_sum(flip, rho), rtol=0, atol=1e-12)
+
+    mag_up, mag_down = mags
+    # M = diag(1, 1, |r_up|, |r_down|) on (photon, atom): the photon |1> branch is damped
+    loss = eye - (1 - mag_up) * dense(n, {0: _P[0], j: _P[1]})
+    loss -= (1 - mag_down) * dense(n, {0: _P[1], j: _P[1]})
+    kraus = [loss @ gate_matrix(n, GateOp.controlled_phase(k, target))]
+    out, weight = lossy_reflection(state, k, target, mag_up * np.exp(1j * t), -mag_down)
+    expect = kraus_sum(kraus, rho)
+    np.testing.assert_allclose(out.data, expect, rtol=0, atol=1e-12)
+    assert weight == pytest.approx(np.trace(expect).real, abs=1e-12)
+
+    np.testing.assert_array_equal(state.data, rho)

@@ -88,6 +88,14 @@ def test_simulate_bad_input_exit_code(capsys):
     assert code == 2
 
 
+def test_simulate_nan_budget_exit_code(capsys):
+    code = main(["simulate", "--n", "2", "--input", "10", "--noise", "--T2-us", "nan"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
 def test_timeline_csv_and_equivalence(capsys):
     code, out = run_cli(capsys, "timeline", "--n", "3", "--check-equivalence")
     assert code == 0

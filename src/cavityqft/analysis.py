@@ -19,6 +19,7 @@ factor 2C; see the README.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -221,7 +222,6 @@ class NoiseBudget:
     K: int | None = None
     gates: CavityParams | str = "ideal"
     dk_mode: str = "exact"
-    delta_S_max: float | None = None
 
     def __post_init__(self) -> None:
         # negated comparisons so that NaN fails them
@@ -229,8 +229,8 @@ class NoiseBudget:
             raise ValueError(f"T2 must be positive, got {self.T2_us}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
-        if not self.T_cycle_ns >= 0.0:
-            raise ValueError(f"T_cycle must be nonnegative, got {self.T_cycle_ns}")
+        if not self.T_cycle_ns > 0.0:
+            raise ValueError(f"T_cycle must be positive, got {self.T_cycle_ns}")
         if self.K is not None and self.K < 1:
             raise ValueError("K must be >= 1")
         if self.dk_mode not in ("exact", "approximate"):
@@ -243,7 +243,7 @@ class NoiseBudget:
         return isinstance(self.gates, str)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GateLoss:
     """Solved operating point and loss terms for one CR_k."""
 
@@ -261,59 +261,43 @@ class DistanceReport:
     d_p: float
     d_H: float
     d_1: float
-    d_k: dict[int, float] = field(default_factory=dict)
-    d_k_star: dict[int, float] = field(default_factory=dict)
-    D: float = 0.0
-    raw: float = 1.0  # 1 - D, possibly negative
-    P_s: float = 1.0  # clipped at 0
-
-    def weighted_sum(self) -> float:
-        n = self.N
-        total = n * n * self.d_p + 2 * n * self.d_H + 3 * n * self.d_1
-        total += sum((n - k + 1) * v for k, v in self.d_k.items())
-        total += sum((n - k + 1) * v for k, v in self.d_k_star.items())
-        return total
+    d_k: dict[int, float]
+    d_k_star: dict[int, float]
+    sum_dk: float  # sum (N-k+1) d_k
+    sum_dk_star: float  # sum (N-k+1) d_k*
+    D: float
+    raw: float  # 1 - D, possibly negative
+    P_s: float  # clipped at 0
 
 
-_gate_loss_cache: dict[tuple, dict[int, GateLoss]] = {}
+# Upper end of the Stark-shift search; the solver's geometric sweep starts
+# at 2^-40 of it and so visits the grid 1000 * 2^i GHz, i = -10 .. 29.
+STARK_RANGE_GHZ = 1000.0 * 2.0**30
 
 
-def solve_gate_losses(
-    params: CavityParams,
-    k_max: int,
-    delta_S_max: float | None = None,
-) -> dict[int, GateLoss]:
+@functools.lru_cache(maxsize=None)
+def _gate_loss(params: CavityParams, k: int) -> GateLoss:
+    delta_0, delta_Z = cav.default_operating_point(params)
+    delta_S = cav.solve_stark_shift(params, delta_0, delta_Z, k, STARK_RANGE_GHZ)
+    op = OperatingPoint(delta_0, delta_Z, delta_S)
+    res = cav.controlled_phase(params, op)
+    return GateLoss(
+        k=k,
+        delta_S=delta_S,
+        r_up_abs=abs(res.r_up),
+        r_down_abs=abs(res.r_down),
+        dk_exact=term_dk(res.r_up, res.r_down),
+        dk_approx=term_dk_approx(params, op),
+    )
+
+
+def solve_gate_losses(params: CavityParams, k_max: int) -> dict[int, GateLoss]:
     """Operating points and loss terms for CR_1 .. CR_{k_max}.
 
-    With delta_S_max=None the solver's bracket is extended geometrically
-    until the target phase is crossed (no tuning-range limit).
+    Each operating point is solved once per (device, k) and shared by
+    every N, scenario and call; the returned dict is fresh on every call.
     """
-    key = (params, k_max, delta_S_max)
-    if key in _gate_loss_cache:
-        return _gate_loss_cache[key]
-    delta_0, delta_Z = cav.default_operating_point(params)
-    out: dict[int, GateLoss] = {}
-    for k in range(1, k_max + 1):
-        limit = delta_S_max
-        if limit is None:
-            limit = 1000.0
-            while cav._delta_theta(params, delta_0, delta_Z, limit) > cav.TWO_PI / 2.0**k:
-                limit *= 2.0
-                if limit > 1e12:
-                    raise cav.OutOfRangeError(f"no operating point found for k={k}")
-        delta_S = cav.solve_stark_shift(params, delta_0, delta_Z, k, limit)
-        op = OperatingPoint(delta_0, delta_Z, delta_S)
-        res = cav.controlled_phase(params, op)
-        out[k] = GateLoss(
-            k=k,
-            delta_S=delta_S,
-            r_up_abs=abs(res.r_up),
-            r_down_abs=abs(res.r_down),
-            dk_exact=term_dk(res.r_up, res.r_down),
-            dk_approx=term_dk_approx(params, op),
-        )
-    _gate_loss_cache[key] = out
-    return out
+    return {k: _gate_loss(params, k) for k in range(1, k_max + 1)}
 
 
 def total_distance(N: int, budget: NoiseBudget) -> DistanceReport:
@@ -323,20 +307,33 @@ def total_distance(N: int, budget: NoiseBudget) -> DistanceReport:
     k_eff = N if budget.K is None else min(budget.K, N)
     d_p = term_dp(budget.T_cycle_ns, budget.T2_us)
     d_h = term_dh(budget.p)
-    report = DistanceReport(N=N, d_p=d_p, d_H=d_h, d_1=0.0)
+    d_1 = 0.0
+    d_k: dict[int, float] = {}
+    d_k_star: dict[int, float] = {}
     if not budget.ideal_gates:
-        losses = solve_gate_losses(budget.gates, k_eff, budget.delta_S_max)
+        losses = solve_gate_losses(budget.gates, k_eff)
         pick = (lambda g: g.dk_exact) if budget.dk_mode == "exact" else (lambda g: g.dk_approx)
-        report.d_1 = pick(losses[1])
-        for k in range(2, k_eff + 1):
-            report.d_k[k] = pick(losses[k])
+        d_1 = pick(losses[1])
+        d_k = {k: pick(losses[k]) for k in range(2, k_eff + 1)}
     if budget.K is not None:
-        for k in range(budget.K + 1, N + 1):
-            report.d_k_star[k] = term_dk_star(k)
-    report.D = report.weighted_sum()
-    report.raw = 1.0 - report.D
-    report.P_s = max(report.raw, 0.0)
-    return report
+        d_k_star = {k: term_dk_star(k) for k in range(budget.K + 1, N + 1)}
+    sum_dk = sum((N - k + 1) * v for k, v in d_k.items())
+    sum_dk_star = sum((N - k + 1) * v for k, v in d_k_star.items())
+    D = N * N * d_p + 2 * N * d_h + 3 * N * d_1 + sum_dk + sum_dk_star
+    raw = 1.0 - D
+    return DistanceReport(
+        N=N,
+        d_p=d_p,
+        d_H=d_h,
+        d_1=d_1,
+        d_k=d_k,
+        d_k_star=d_k_star,
+        sum_dk=sum_dk,
+        sum_dk_star=sum_dk_star,
+        D=D,
+        raw=raw,
+        P_s=max(raw, 0.0),
+    )
 
 
 def max_photons(budget: NoiseBudget, n_max: int = 100_000) -> int:
@@ -418,10 +415,8 @@ def sweep_success(n_values: list[int], scenarios: list[Scenario]) -> list[dict]:
                     "d_p": report.d_p,
                     "d_H": report.d_H,
                     "d1": report.d_1,
-                    "sum_dk": sum((n - k + 1) * v for k, v in report.d_k.items()),
-                    "sum_dk_star": sum(
-                        (n - k + 1) * v for k, v in report.d_k_star.items()
-                    ),
+                    "sum_dk": report.sum_dk,
+                    "sum_dk_star": report.sum_dk_star,
                     "D": report.D,
                     "P_s_raw": report.raw,
                     "P_s": report.P_s,
@@ -477,7 +472,7 @@ def simulate_noisy_protocol(
     timeline = compile_timeline(TimingConfig.default(n, budget.T_cycle_ns), max(k_eff, 1))
     losses = None
     if not budget.ideal_gates:
-        losses = solve_gate_losses(budget.gates, k_eff, budget.delta_S_max)
+        losses = solve_gate_losses(budget.gates, k_eff)
 
     # one density matrix, owned by this run and updated in place throughout
     state = input_state.to_density()

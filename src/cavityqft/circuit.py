@@ -80,7 +80,6 @@ class GateOp:
     name "H": Hadamard on `qubit`.
     name "CR": controlled phase diag(1,1,1,e^{i 2 pi / 2^k}) between the
         atom and photon `qubit`.
-    name "SWAP": atom <-> photon `qubit` exchange.
     """
 
     name: str
@@ -98,10 +97,6 @@ class GateOp:
         if target.kind != "photon":
             raise ValueError("controlled phase targets a photon")
         return GateOp("CR", qubit=target, k=k)
-
-    @staticmethod
-    def swap(j: int) -> "GateOp":
-        return GateOp("SWAP", qubit=photon(j))
 
 
 @dataclass(frozen=True)
@@ -191,19 +186,6 @@ class QuantumState:
             return float(np.trace(self.data).real)
         return float(np.vdot(self.data, self.data).real)
 
-    def check(self, tol: float = 1e-12) -> None:
-        """Assert the state invariants (unit norm / Hermitian PSD unit trace)."""
-        if self.density:
-            if abs(np.trace(self.data).real - 1.0) > tol:
-                raise ValueError("density matrix trace differs from 1")
-            if np.max(np.abs(self.data - self.data.conj().T)) > tol:
-                raise ValueError("density matrix not Hermitian")
-            if np.min(np.linalg.eigvalsh(0.5 * (self.data + self.data.conj().T))) < -tol:
-                raise ValueError("density matrix not positive semidefinite")
-        else:
-            if abs(self.norm() - 1.0) > tol:
-                raise ValueError("state vector not normalized")
-
     def _qubit_axis(self, q: QubitRef) -> int:
         if q.kind == "atom":
             return 0
@@ -223,7 +205,7 @@ def _apply_inplace(
     """Apply U (or conj(U)) of `gate` to the C-contiguous array `data` in place.
 
     `axis` is the bit position of the gate's qubit in the flattened index
-    and `atom` that of the atom, which CR and SWAP also act on.
+    and `atom` that of the atom, which CR also acts on.
     """
     if gate.name == "H":
         halves = data.reshape(2**axis, 2, -1)
@@ -235,11 +217,6 @@ def _apply_inplace(
     elif gate.name == "CR":
         phase = np.exp(2j * math.pi / 2**gate.k)
         _pair(data, atom, axis)[:, 1, :, 1] *= np.conj(phase) if conj else phase
-    elif gate.name == "SWAP":
-        view = _pair(data, atom, axis)
-        held = view[:, 0, :, 1].copy()
-        view[:, 0, :, 1] = view[:, 1, :, 0]
-        view[:, 1, :, 0] = held
     else:
         raise ValueError(f"unknown gate {gate.name!r}")
 
@@ -420,45 +397,3 @@ def lossy_reflection(
         raise ValueError("reflection magnitudes must not exceed 1")
     out = state.copy()
     return out, _lossy_reflection(out, k, target, mag_up, mag_down)
-
-
-# --- serialization ---------------------------------------------------------
-
-
-def program_to_text(program: CircuitProgram) -> str:
-    """Line-oriented gate listing (one gate per line)."""
-    lines = []
-    for gate in program.gates:
-        if gate.name == "H":
-            lines.append(f"H {gate.qubit}")
-        elif gate.name == "CR":
-            lines.append(f"CR {gate.k} {gate.qubit}")
-        elif gate.name == "SWAP":
-            lines.append(f"SWAP {gate.qubit}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _parse_qubit(token: str) -> QubitRef:
-    if token == "a":
-        return ATOM
-    if token.startswith("p"):
-        return photon(int(token[1:]))
-    raise ValueError(f"bad qubit token {token!r}")
-
-
-def program_from_text(text: str, arity: int, cutoff: int) -> CircuitProgram:
-    gates: list[GateOp] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "H":
-            gates.append(GateOp.hadamard(_parse_qubit(parts[1])))
-        elif parts[0] == "CR":
-            gates.append(GateOp.controlled_phase(int(parts[1]), _parse_qubit(parts[2])))
-        elif parts[0] == "SWAP":
-            gates.append(GateOp.swap(_parse_qubit(parts[1]).index))
-        else:
-            raise ValueError(f"unknown gate line {line!r}")
-    return CircuitProgram(arity=arity, cutoff=cutoff, gates=tuple(gates))

@@ -1,9 +1,13 @@
 """Error-budget terms, distance oracles, sweeps, and bound validation."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cavityqft import analysis, cavity
 from cavityqft.analysis import (
     DegenerateOperator,
     MeasurementDiag,
@@ -132,7 +136,14 @@ def test_diamond_oracle_dephasing_channel():
 
 
 @pytest.mark.parametrize(
-    "field", [{"T2_us": math.nan}, {"p": math.nan}, {"T_cycle_ns": math.nan}, {"T_cycle_ns": -1.0}]
+    "field",
+    [
+        {"T2_us": math.nan},
+        {"p": math.nan},
+        {"T_cycle_ns": math.nan},
+        {"T_cycle_ns": -1.0},
+        {"T_cycle_ns": 0.0},
+    ],
 )
 def test_budget_rejects_invalid_fields(field):
     with pytest.raises(ValueError):
@@ -166,6 +177,34 @@ def test_total_distance_cavity_terms():
     losses = solve_gate_losses(qd, 3)
     expect = 9 * losses[1].dk_exact + 2 * losses[2].dk_exact + 1 * losses[3].dk_exact
     assert report.D == pytest.approx(expect)
+
+
+def test_gate_losses_are_fresh_and_frozen():
+    qd = quantum_dot_params()
+    budget = NoiseBudget(T2_us=20.0, p=0.01, K=4, gates=qd)
+    before = total_distance(6, budget).D
+    losses = solve_gate_losses(qd, 4)
+    losses[1] = losses[4]
+    assert total_distance(6, budget).D == before
+    solve_gate_losses(qd, 4).clear()
+    assert total_distance(6, budget).D == before
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        losses[2].dk_exact = 0.0
+
+
+def test_max_photons_solves_each_operating_point_once(monkeypatch):
+    solved = []
+    solve = cavity.solve_stark_shift
+
+    def counted(params, delta_0, delta_Z, k, *args):
+        solved.append(k)
+        return solve(params, delta_0, delta_Z, k, *args)
+
+    monkeypatch.setattr(cavity, "solve_stark_shift", counted)
+    analysis._gate_loss.cache_clear()
+    budget = NoiseBudget(T2_us=20.0, p=0.001, gates=cavity_params_for_cooperativity(400.0))
+    assert max_photons(budget) == 60
+    assert solved == list(range(1, 61))
 
 
 def test_total_distance_monotone():
@@ -222,6 +261,23 @@ def test_max_photons_known_crossings():
     assert max_photons(NoiseBudget(T2_us=5.0, p=0.01)) == 29
     assert max_photons(NoiseBudget(T2_us=math.inf, p=0.01)) == 50
     assert max_photons(NoiseBudget(T2_us=20.0, p=0.05)) <= 10
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    C=st.floats(30.0, 400.0),
+    K=st.one_of(st.none(), st.integers(1, 10)),
+    dk_mode=st.sampled_from(["exact", "approximate"]),
+    p=st.floats(0.008, 1.0),
+)
+def test_cavity_budget_monotone_and_first_crossing(C, K, dk_mode, p):
+    budget = NoiseBudget(
+        T2_us=20.0, p=p, K=K, gates=cavity_params_for_cooperativity(C), dk_mode=dk_mode
+    )
+    reports = [total_distance(n, budget) for n in range(1, 31)]
+    assert all(a.D <= b.D for a, b in zip(reports, reports[1:]))
+    first = next((r.N for r in reports if r.raw <= 0.0), 30)
+    assert max_photons(budget, n_max=30) == first
 
 
 def test_preset_names():

@@ -21,8 +21,6 @@ from cavityqft.circuit import (
     lossy_reflection,
     noisy_hadamard,
     photon,
-    program_from_text,
-    program_to_text,
     simulate_program,
     swap_from_cr1,
 )
@@ -109,13 +107,6 @@ def test_controlled_phase_acts_on_11_only():
         assert out.data[(atom_bit << 1) | photon_bit] == pytest.approx(expect)
 
 
-def test_swap_gate_unitary():
-    swap = np.array(
-        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-    )
-    np.testing.assert_allclose(two_qubit_unitary([GateOp.swap(1)]), swap, atol=1e-15)
-
-
 def test_swap_from_cr1_identity():
     swap = np.array(
         [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -178,22 +169,6 @@ def test_truncation_drops_small_gates():
     assert dropped and all(g.name == "CR" and g.k > 2 for g in dropped)
 
 
-# --- serialization --------------------------------------------------------
-
-
-def test_program_round_trip():
-    prog = build_qft_program(3, 2)
-    text = program_to_text(prog)
-    back = program_from_text(text, arity=3, cutoff=2)
-    assert back.gates == prog.gates
-
-
-def test_program_text_format():
-    text = program_to_text(build_qft_program(1, 1))
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("CR 1 p1")
-
-
 # --- channels -------------------------------------------------------------
 
 
@@ -252,7 +227,6 @@ _I2 = np.eye(2)
 _H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 _Z = np.diag([1.0, -1.0])
 _P = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]  # projectors onto |0>, |1>
-_E = [[np.outer(_I2[x], _I2[y]) for y in (0, 1)] for x in (0, 1)]  # |x><y|
 
 
 def dense(n: int, ops: dict) -> np.ndarray:
@@ -271,11 +245,9 @@ def gate_matrix(n: int, gate: GateOp) -> np.ndarray:
     q = _position(gate.qubit)
     if gate.name == "H":
         return dense(n, {q: _H})
-    if gate.name == "CR":
-        phase = np.exp(2j * math.pi / 2**gate.k)
-        return np.eye(2 ** (n + 1)) + (phase - 1.0) * dense(n, {0: _P[1], q: _P[1]})
-    assert gate.name == "SWAP"
-    return sum(dense(n, {0: _E[x][y], q: _E[y][x]}) for x in (0, 1) for y in (0, 1))
+    assert gate.name == "CR"
+    phase = np.exp(2j * math.pi / 2**gate.k)
+    return np.eye(2 ** (n + 1)) + (phase - 1.0) * dense(n, {0: _P[1], q: _P[1]})
 
 
 def random_states(n: int, seed: int) -> tuple[QuantumState, QuantumState]:
@@ -298,7 +270,6 @@ def circuits(draw):
     gate = st.one_of(
         st.one_of(st.just(ATOM), photons).map(GateOp.hadamard),
         st.builds(GateOp.controlled_phase, st.integers(1, CUTOFF), photons),
-        st.integers(1, n).map(GateOp.swap),
     )
     return n, draw(st.lists(gate, max_size=12)), draw(st.integers(0, 2**32 - 1))
 

@@ -1,6 +1,7 @@
 """Command-line interface: output formats, exit codes, determinism."""
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +58,23 @@ def test_success_config_file(capsys, tmp_path):
     lines = out.strip().splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("one,1,")
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"scenarios": [{"T2_us": 20, "p": None}]},
+        {"scenarios": 5},
+        {"scenarios": [{"T2_us": 20, "p": 0.01, "T_cycle_ns": 0}]},
+    ],
+)
+def test_success_malformed_config_exit_code(capsys, tmp_path, config):
+    path = tmp_path / "scenarios.json"
+    path.write_text(json.dumps(config))
+    code = main(["success", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
 
 
 def test_success_requires_source(capsys):
@@ -131,3 +149,11 @@ def test_json_format(capsys):
     payload = json.loads(out)
     assert len(payload["rows"]) == 3
     assert payload["rows"][0]["N"] == 1
+
+
+def test_golden_outputs_unchanged(monkeypatch, tmp_path):
+    # digests of success --preset fig4|fig5a|fig5b and phase-curve, kept by the benchmark
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import golden
+
+    assert golden.mismatches(str(tmp_path / "out.csv")) == []

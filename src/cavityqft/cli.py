@@ -177,7 +177,7 @@ def cmd_simulate(args) -> int:
 def cmd_timeline(args) -> int:
     cfg = sched.TimingConfig.default(args.n, args.T_cycle)
     cutoff = args.cutoff if args.cutoff is not None else args.n
-    timeline = sched.compile_timeline(cfg, max(cutoff, 1))
+    timeline = sched.compile_timeline(cfg, cutoff)
     report = sched.validate_timeline(timeline)
     text = sched.timeline_to_csv(timeline)
     text += f"# reflects: {report.reflect_count}\n"
@@ -185,7 +185,7 @@ def cmd_timeline(args) -> int:
     text += f"# idle_cycles: {report.idle_cycles}\n"
     if args.check_equivalence:
         compiled = sched.timeline_to_program(timeline)
-        reference = circ.build_qft_program(args.n, max(cutoff, 1))
+        reference = circ.build_qft_program(args.n, cutoff)
         equal = compiled.gates == reference.gates
         text += f"# program_equivalent: {equal}\n"
         if not equal:

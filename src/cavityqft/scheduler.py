@@ -29,6 +29,10 @@ class TimingConfig:
     n: int
 
     def __post_init__(self) -> None:
+        for name in ("T_cycle", "tau_1", "tau_2"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidTiming(f"{name} must be finite, got {value}")
         if self.n < 1:
             raise InvalidTiming(f"need at least one photon, got n={self.n}")
         if self.T_cycle <= 0.0:
@@ -149,17 +153,32 @@ def timeline_to_program(timeline: Timeline) -> CircuitProgram:
 
 
 def validate_timeline(timeline: Timeline, tol: float = 1e-9) -> TimelineReport:
-    """Check cavity exclusivity, delay consistency, and emission ordering."""
+    """Check cavity exclusivity, delay consistency, and emission ordering.
+
+    One pass over the events collects the reflections, the emissions and
+    each photon's chain, so the check is linear in the number of events.
+    Events without a photon index in 1..n belong to no chain.
+    """
     cfg = timeline.config
     violations: list[str] = []
 
-    reflects = [e for e in timeline.events if e.kind == "Reflect"]
+    reflects: list[TimelineEvent] = []
+    emits: list[TimelineEvent] = []
+    chains: dict[int, list[TimelineEvent]] = {j: [] for j in range(1, cfg.n + 1)}
+    for e in timeline.events:
+        if e.kind == "Reflect":
+            reflects.append(e)
+        elif e.kind == "Emit":
+            emits.append(e)
+        chain = chains.get(e.photon)
+        if chain is not None:
+            chain.append(e)
+
     times = [e.time for e in reflects]
     for a, b in zip(times, times[1:]):
         if b - a <= tol:
             violations.append(f"overlapping reflections at t={a} and t={b}")
 
-    emits = [e for e in timeline.events if e.kind == "Emit"]
     seen = [e.photon for e in emits]
     if sorted(set(seen)) != list(range(1, cfg.n + 1)) or len(seen) != cfg.n:
         violations.append(f"emission multiset wrong: {seen}")
@@ -167,8 +186,7 @@ def validate_timeline(timeline: Timeline, tol: float = 1e-9) -> TimelineReport:
         if not (a.photon < b.photon and a.time < b.time):
             violations.append(f"emission order violated: photon {a.photon} vs {b.photon}")
 
-    for j in range(1, cfg.n + 1):
-        chain = [e for e in timeline.events if e.photon == j]
+    for j, chain in chains.items():
         for a, b in zip(chain, chain[1:]):
             if b.time < a.time - tol:
                 violations.append(f"photon {j} chain not time-ordered")

@@ -127,6 +127,23 @@ def test_timeline_reflect_count(capsys):
     assert "# reflects: 12" in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--T-cycle", "nan"], "error: T_cycle must be finite, got nan"),
+        (["--T-cycle", "inf"], "error: T_cycle must be finite, got inf"),
+        (["--cutoff", "0"], "error: cutoff must be >= 1, got 0"),
+        (["--cutoff", "-2", "--check-equivalence"], "error: cutoff must be >= 1, got -2"),
+    ],
+)
+def test_timeline_invalid_input_exit_code(capsys, argv, message):
+    code = main(["timeline", "--n", "3", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.strip() == message
+    assert captured.out == ""
+
+
 def test_validate_exits_zero(capsys):
     code, out = run_cli(capsys, "validate")
     assert code == 0

@@ -111,25 +111,42 @@ def postselection_distance(m: MeasurementDiag) -> float:
     return (top - bottom) / (top + bottom)
 
 
+def _postselection_cos_sq(
+    x: np.ndarray, weights: np.ndarray, weights_sq: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """|<psi|M psi>|^2 / (|psi|^2 |M psi|^2), psi = a + ib, x = (a, b), and its gradient in x.
+
+    M = diag(weights) is real, so the objective depends on s = a^2 + b^2
+    alone: f = o^2 / (n q) with n = sum s, o = sum w s, q = sum w^2 s, and
+    df/ds = f (2w/o - 1/n - w^2/q).
+    """
+    d = len(weights)
+    a, b = x[:d], x[d:]
+    s = a * a + b * b
+    n = s.sum()
+    q = weights_sq @ s
+    if n < 1e-300 or q < 1e-300:
+        return 1.0, np.zeros_like(x)
+    o = weights @ s
+    f = o * o / (n * q)
+    g = f * (2.0 * weights / o - 1.0 / n - weights_sq / q)
+    return f, 2.0 * np.concatenate((g * a, g * b))
+
+
 def _max_postselection_angle(weights: np.ndarray, trials: int, rng: np.random.Generator) -> float:
     """Maximize sqrt(1 - |<psi|phi>|^2), phi = M psi / |M psi|, by local search."""
     d = len(weights)
-
-    def cos_sq(x: np.ndarray) -> float:
-        psi = x[:d] + 1j * x[d:]
-        norm_sq = np.vdot(psi, psi).real
-        mpsi = weights * psi
-        overlap = np.vdot(psi, mpsi).real
-        mnorm_sq = np.vdot(mpsi, mpsi).real
-        if norm_sq < 1e-300 or mnorm_sq < 1e-300:
-            return 1.0
-        return overlap * overlap / (norm_sq * mnorm_sq)
-
+    weights_sq = weights * weights
     best = 1.0
     for _ in range(trials):
         x0 = rng.standard_normal(2 * d)
         res = minimize(
-            cos_sq, x0, method="L-BFGS-B", options=dict(ftol=1e-15, gtol=1e-12, maxiter=500)
+            _postselection_cos_sq,
+            x0,
+            args=(weights, weights_sq),
+            jac=True,
+            method="L-BFGS-B",
+            options=dict(ftol=1e-15, gtol=1e-12, maxiter=500),
         )
         best = min(best, float(res.fun))
     return math.sqrt(max(1.0 - best, 0.0))

@@ -111,7 +111,7 @@ class CircuitProgram:
         if self.arity < 0:
             raise ValueError("arity must be nonnegative")
         if self.cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
+            raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
         for gate in self.gates:
             if gate.qubit is not None and gate.qubit.kind == "photon":
                 if gate.qubit.index > self.arity:
@@ -273,7 +273,7 @@ def build_qft_program(n: int, K: int) -> CircuitProgram:
             k = j - i + 1
             if k <= K:
                 gates.append(GateOp.controlled_phase(k, photon(j)))
-    return CircuitProgram(arity=n, cutoff=max(K, 1), gates=tuple(gates))
+    return CircuitProgram(arity=n, cutoff=K, gates=tuple(gates))
 
 
 def ideal_qft_unitary(n: int) -> np.ndarray:

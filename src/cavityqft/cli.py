@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smax", type=float, default=1000.0)
     p.add_argument("--points", type=int, default=2001)
     p.add_argument("--kmax", type=int, default=10)
-    p.add_argument("--stark-max", type=float, default=1000.0)
+    p.add_argument("--stark-max", type=float, default=analysis.STARK_RANGE_GHZ)
     p.set_defaults(func=cmd_phase_curve)
 
     p = sub.add_parser("success", parents=[common])

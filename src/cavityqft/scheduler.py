@@ -41,6 +41,8 @@ class TimingConfig:
             raise InvalidTiming(
                 f"tau_1={self.tau_1} must exceed n*T_cycle={self.n * self.T_cycle}"
             )
+        if self.tau_2 <= 0.0:
+            raise InvalidTiming("tau_2 must be positive")
         if self.tau_2 >= self.T_cycle / 10.0:
             raise InvalidTiming(f"tau_2={self.tau_2} must be well below T_cycle")
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cavityqft import analysis, cavity
@@ -123,6 +123,51 @@ def test_oracle_ancilla_modes_agree():
 def test_oracle_dimension_cap():
     with pytest.raises(ValueError):
         brute_force_postselection_distance(MeasurementDiag((1.0,) * 7))
+
+
+def _complex_cos_sq(x, weights):
+    """|<psi|M psi>|^2 / (|psi|^2 |M psi|^2) in complex arithmetic, psi = a + ib."""
+    d = len(weights)
+    psi = x[:d] + 1j * x[d:]
+    norm_sq = np.vdot(psi, psi).real
+    mpsi = weights * psi
+    overlap = np.vdot(psi, mpsi).real
+    mnorm_sq = np.vdot(mpsi, mpsi).real
+    if norm_sq < 1e-300 or mnorm_sq < 1e-300:
+        return 1.0
+    return overlap * overlap / (norm_sq * mnorm_sq)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    lam=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6),
+    extended=st.booleans(),
+    data=st.data(),
+)
+def test_postselection_objective_gradient(lam, extended, data):
+    lam = np.array(lam)
+    weights = np.kron(lam, np.ones(len(lam))) if extended else lam
+    weights_sq = weights * weights
+    size = 2 * len(weights)
+    x = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=size, max_size=size)))
+    norm = np.linalg.norm(x)
+    assume(norm >= 1e-3)
+    f, grad = analysis._postselection_cos_sq(x, weights, weights_sq)
+    assert f == pytest.approx(_complex_cos_sq(x, weights), abs=1e-14)
+    # f is scale-invariant, so its gradient scales as 1/|x| and the central
+    # difference error as step^2/|x|^3: step and tolerance scale with |x|.
+    step = 1e-6 * norm
+    central = np.empty(size)
+    for i in range(size):
+        e = np.zeros(size)
+        e[i] = step
+        f_plus, _ = analysis._postselection_cos_sq(x + e, weights, weights_sq)
+        f_minus, _ = analysis._postselection_cos_sq(x - e, weights, weights_sq)
+        central[i] = (f_plus - f_minus) / (2 * step)
+    np.testing.assert_allclose(grad, central, rtol=0, atol=1e-6 / norm)
+    f0, grad0 = analysis._postselection_cos_sq(np.zeros(size), weights, weights_sq)
+    assert f0 == 1.0
+    assert np.array_equal(grad0, np.zeros(size))
 
 
 def test_diamond_oracle_dephasing_channel():

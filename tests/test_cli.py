@@ -32,6 +32,17 @@ def test_phase_curve_marks_list_k(capsys):
     assert [m["k"] for m in marks] == list(range(1, 11))
 
 
+def test_phase_curve_high_cooperativity(capsys):
+    # g = 28.98 GHz gives C = 400, where CR_9 and CR_10 need Stark shifts beyond 1000 GHz
+    code, out = run_cli(capsys, "phase-curve", "--g", "28.98", "--points", "2")
+    assert code == 0
+    marks_line = next(line for line in out.splitlines() if line.startswith("# marks:"))
+    marks = json.loads(marks_line.split(":", 1)[1])
+    assert [m["k"] for m in marks] == list(range(1, 11))
+    shifts = [float(m["delta_S_GHz"]) for m in marks]
+    assert shifts == sorted(shifts) and shifts[-1] > 1000.0
+
+
 def test_phase_curve_empty_range(capsys):
     code, out = run_cli(capsys, "phase-curve", "--points", "0", "--kmax", "1")
     assert code == 0
@@ -104,6 +115,22 @@ def test_simulate_noise_reports_bound(capsys):
 def test_simulate_bad_input_exit_code(capsys):
     code, _ = run_cli(capsys, "simulate", "--n", "2", "--input", "01021")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--cutoff", "0"], "error: cutoff must be >= 1, got 0"),
+        (["--cutoff", "-1"], "error: cutoff must be >= 1, got -1"),
+        (["--cutoff", "0", "--noise"], "error: K must be >= 1"),
+    ],
+)
+def test_simulate_invalid_cutoff_exit_code(capsys, argv, message):
+    code = main(["simulate", "--n", "3", "--input", "101", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.strip() == message
+    assert captured.out == ""
 
 
 def test_simulate_nan_budget_exit_code(capsys):

@@ -26,6 +26,9 @@ def test_config_validation():
         TimingConfig(T_cycle=5.0, tau_1=30.0, tau_2=2.0, n=3)  # tau_2 too long
     with pytest.raises(InvalidTiming):
         TimingConfig(T_cycle=0.0, tau_1=30.0, tau_2=0.25, n=3)
+    for tau_2 in (0.0, -1.0):
+        with pytest.raises(InvalidTiming, match="tau_2 must be positive"):
+            TimingConfig(T_cycle=5.0, tau_1=30.0, tau_2=tau_2, n=3)
     with pytest.raises(InvalidTiming):
         TimingConfig.default(0)
     for name, value in [

@@ -353,17 +353,16 @@ def total_distance(N: int, budget: NoiseBudget) -> DistanceReport:
     )
 
 
-def max_photons(budget: NoiseBudget, n_max: int = 100_000) -> int:
+def max_photons(budget: NoiseBudget, n_max: int = 100_000) -> int | None:
     """Photon number at which the success bound reaches zero.
 
-    Scans N upward and returns the first N with 1 - D <= 0.  Returns
-    n_max as an "unbounded" sentinel if the bound stays positive up to
-    the scan cap.
+    Scans N upward and returns the first N <= n_max with 1 - D <= 0, or
+    None if the bound stays positive up to n_max.
     """
     for n in range(1, n_max + 1):
         if total_distance(n, budget).raw <= 0.0:
             return n
-    return n_max
+    return None
 
 
 # --- scenario sweeps ------------------------------------------------------

@@ -159,7 +159,8 @@ def validate_timeline(timeline: Timeline, tol: float = 1e-9) -> TimelineReport:
 
     One pass over the events collects the reflections, the emissions and
     each photon's chain, so the check is linear in the number of events.
-    Events without a photon index in 1..n belong to no chain.
+    Events without a photon index in 1..n belong to no chain, and an Emit
+    without a photon index is reported as a violation.
     """
     cfg = timeline.config
     violations: list[str] = []
@@ -182,10 +183,14 @@ def validate_timeline(timeline: Timeline, tol: float = 1e-9) -> TimelineReport:
             violations.append(f"overlapping reflections at t={a} and t={b}")
 
     seen = [e.photon for e in emits]
-    if sorted(set(seen)) != list(range(1, cfg.n + 1)) or len(seen) != cfg.n:
+    if None in seen:
+        violations.append("emission multiset wrong: Emit without a photon index")
+    elif sorted(set(seen)) != list(range(1, cfg.n + 1)) or len(seen) != cfg.n:
         violations.append(f"emission multiset wrong: {seen}")
     for a, b in zip(emits, emits[1:]):
-        if not (a.photon < b.photon and a.time < b.time):
+        if a.photon is None or b.photon is None:
+            violations.append("emission order undefined: Emit without a photon index")
+        elif not (a.photon < b.photon and a.time < b.time):
             violations.append(f"emission order violated: photon {a.photon} vs {b.photon}")
 
     for j, chain in chains.items():

@@ -299,7 +299,9 @@ def test_budget_coefficients_match_scheduler_counts():
 
 
 def test_max_photons_unbounded_sentinel():
-    assert max_photons(NoiseBudget(T2_us=math.inf, p=0.0), n_max=500) == 500
+    assert max_photons(NoiseBudget(T2_us=math.inf, p=0.0), n_max=500) is None
+    # a genuine crossing at the scan cap is still reported
+    assert max_photons(NoiseBudget(T2_us=math.inf, p=0.01), n_max=50) == 50
 
 
 def test_max_photons_known_crossings():
@@ -321,7 +323,7 @@ def test_cavity_budget_monotone_and_first_crossing(C, K, dk_mode, p):
     )
     reports = [total_distance(n, budget) for n in range(1, 31)]
     assert all(a.D <= b.D for a, b in zip(reports, reports[1:]))
-    first = next((r.N for r in reports if r.raw <= 0.0), 30)
+    first = next((r.N for r in reports if r.raw <= 0.0), None)
     assert max_photons(budget, n_max=30) == first
 
 

@@ -1,10 +1,16 @@
 """Command-line interface: output formats, exit codes, determinism."""
+import hashlib
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cavityqft import analysis, cli
+from cavityqft import circuit as circ
 from cavityqft.cli import main
 
 
@@ -201,3 +207,167 @@ def test_golden_outputs_unchanged(monkeypatch, tmp_path):
     import golden
 
     assert golden.mismatches(str(tmp_path / "out.csv")) == []
+
+
+# --- column-wise CSV writer -------------------------------------------------
+
+
+def _reference_csv(columns: list[str], rows: list[dict]) -> str:
+    """The row-by-row writer the column-wise one replaced."""
+    out = [",".join(columns)]
+    for row in rows:
+        cells = []
+        for col in columns:
+            value = row[col]
+            cells.append(f"{value:.11e}" if isinstance(value, float) else str(value))
+        out.append(",".join(cells))
+    return "\n".join(out) + "\n"
+
+
+def _float_texts(xs: list[float]) -> list[str]:
+    matrix, lengths = cli._float_cells(np.array(xs, dtype=np.float64))
+    width = matrix.shape[1]
+    return [bytes(row[width - n :]).decode() for row, n in zip(matrix, lengths)]
+
+
+SPECIAL_FLOATS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+    5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 1e-33, 9.99999999999995e55,
+]
+# Near ties whose scaled value rounds the wrong way without the tie guard,
+# and values whose 12 digits round up to 1e12 and carry into the exponent.
+HARD_FLOATS = [
+    2.310953758615e48, 2.557430091525e-23, -1.311010121735e-20,
+    0.999999999999996, -9.9999999999997e-31, 9.9999999999998e44,
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(), max_size=40))
+@example(SPECIAL_FLOATS)
+@example(HARD_FLOATS)
+def test_float_cells_match_format_on_all_doubles(xs):
+    assert _float_texts(xs) == [f"{x:.11e}" for x in xs]
+
+
+@st.composite
+def near_ties(draw):
+    """A 13-digit decimal ending in 5 and its two binary neighbours."""
+    digits = draw(st.integers(10**11, 10**12 - 1))
+    x = float(f"{digits}5e{draw(st.integers(-330, 300))}") * draw(st.sampled_from((1, -1)))
+    return [np.nextafter(x, -math.inf), x, np.nextafter(x, math.inf)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(near_ties(), max_size=10))
+def test_float_cells_match_format_near_ties(triples):
+    xs = [float(x) for triple in triples for x in triple]
+    assert _float_texts(xs) == [f"{x:.11e}" for x in xs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 40), st.integers(0, 2**20), st.integers(1, 20), st.floats(-1, 1)),
+        max_size=40,
+    )
+)
+def test_float_cells_match_format_at_amplitude_scale(params):
+    # QFT amplitudes cos(2 pi k / 2^m) / 2^(n/2) and arbitrary values of that size
+    xs = []
+    for n, k, m, c in params:
+        xs += [math.cos(2 * math.pi * k / 2**m) * 2 ** (-n / 2), c * 2 ** (-n / 2)]
+    assert _float_texts(xs) == [f"{x:.11e}" for x in xs]
+
+
+def test_writer_matches_row_writer_on_mixed_cells():
+    columns = {
+        "scenario_id": ["a", "b,c", "Grüße ✓", "nul\0byte", ""],
+        "N": [1, 2, 3, 40, 50],
+        "sum_dk": [0, 1.5, 0, -2.5e-300, math.nan],
+        "D": np.array([0.1, -0.0, 1e300, 2.0**-1074, math.inf]),
+        "index": np.array([0, -7, 10, 2**63 - 1, -(2**63)]),
+        "basis": np.array([b"01", b"10", b"11", b"00", b"01"]),
+    }
+    rows = [
+        dict(zip(columns, cells))
+        for cells in zip(*(cli._pylist(column) for column in columns.values()))
+    ]
+    assert cli._table_to_csv(columns) == _reference_csv(list(columns), rows)
+
+
+def test_writer_zero_rows(capsys):
+    empty = {"a": np.array([]), "b": [], "c": np.array([], dtype=int)}
+    assert cli._table_to_csv(empty) == "a,b,c\n"
+    code, out = run_cli(capsys, "phase-curve", "--points", "0", "--kmax", "1")
+    assert code == 0
+    names = ["delta_S_GHz", "delta_theta_rad", "r_up_abs", "r_down_abs"]
+    assert out.split("# marks: ")[0] == _reference_csv(names, [])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_success_text_cells_match_row_writer(capsys, tmp_path, fmt):
+    config = {
+        "scenarios": [
+            {"scenario_id": "comma,inside", "T2_us": 20.0, "p": 0.01},
+            {"scenario_id": "Grüße ✓", "T2_us": "inf", "p": 0.0, "K": 2},
+            {"scenario_id": "nul\0byte", "T2_us": 5.0, "p": 0.01, "cooperativity": 57.62},
+        ],
+        "N_max": 4,
+    }
+    path = tmp_path / "scenarios.json"
+    path.write_text(json.dumps(config))
+    code, out = run_cli(capsys, "success", "--config", str(path), "--format", fmt)
+    assert code == 0
+    scenarios = [analysis.scenario_from_config(entry) for entry in config["scenarios"]]
+    rows = analysis.sweep_success([1, 2, 3, 4], scenarios)
+    assert [row["sum_dk"] for row in rows if row["N"] == 1] == [0, 0, 0]  # int cells
+    if fmt == "csv":
+        assert out == _reference_csv(cli.SWEEP_COLUMNS, rows)
+    else:
+        assert out == json.dumps({"rows": rows}, indent=2, default=str) + "\n"
+
+
+def _simulate_cases():
+    rng = np.random.default_rng(7)
+    for n in range(1, 13):
+        for bits in sorted({"1" * n, "".join(map(str, rng.integers(0, 2, n)))}):
+            for K in sorted({n, max(1, n - 2), 1}):
+                yield n, bits, K
+
+
+@pytest.mark.parametrize("n, bits, K", list(_simulate_cases()))
+def test_simulate_matches_row_writer(capsys, n, bits, K):
+    program = circ.build_qft_program(n, K)
+    final = circ.simulate_program(program, circ.QuantumState.basis(n, [int(b) for b in bits]))
+    rows = [
+        {"index": i, "basis": format(i, f"0{n + 1}b"), "re": float(a.real), "im": float(a.imag)}
+        for i, a in enumerate(final.data)
+    ]
+    argv = ["simulate", "--n", str(n), "--input", bits, "--cutoff", str(K)]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == _reference_csv(["index", "basis", "re", "im"], rows)
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps({"rows": rows}, indent=2, default=str) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["--n", "16", "--input", "1011001110001011"],
+            "3b2454958eef8b31d87d2e090eb94c9604074f0187376d63d6325d95bd3402f8",
+        ),
+        (
+            ["--n", "5", "--input", "10110", "--noise", "--cooperativity", "57.62"],
+            "0c0721faeabf80c48189f997d6164d224d48ef8465c159a65b56540d0a72a001",
+        ),
+    ],
+)
+def test_simulate_output_digest(capsys, argv, digest):
+    # SHA-256 of the output of the row-by-row writer, before the column-wise one
+    code, out = run_cli(capsys, "simulate", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

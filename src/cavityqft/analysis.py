@@ -30,7 +30,7 @@ from . import cavity as cav
 from . import circuit as circ
 from .cavity import CavityParams, OperatingPoint
 from .circuit import ATOM, QuantumState
-from .scheduler import TimingConfig, compile_timeline
+from .scheduler import H_ATOM, H_PHOTON, REFLECT, TimingConfig, compile_timeline
 
 ORACLE_DIM_CAP = 6
 
@@ -495,25 +495,28 @@ def simulate_noisy_protocol(
     weight = 1.0
     t2_ns = budget.T2_us * 1000.0
     prev_time: float | None = None
-    for event in timeline.events:
-        if event.kind != "Reflect":
-            continue
+    reflects = timeline.events[timeline.events["kind"] == REFLECT]
+    for time, j, k, flags in zip(
+        reflects["time"].tolist(),
+        reflects["photon"].tolist(),
+        reflects["k"].tolist(),
+        reflects["hadamards"].tolist(),
+    ):
         if prev_time is not None and math.isfinite(t2_ns):
-            circ._dephase(state, ATOM, math.exp(-(event.time - prev_time) / t2_ns))
-        prev_time = event.time
-        target = circ.photon(event.photon)
+            circ._dephase(state, ATOM, math.exp(-(time - prev_time) / t2_ns))
+        prev_time = time
+        target = circ.photon(j)
         if losses is None:
-            circ._apply(state, circ.GateOp.controlled_phase(event.k, target))
+            circ._apply(state, circ.GateOp.controlled_phase(k, target))
         else:
-            loss = losses[event.k]
-            w = circ._lossy_reflection(state, event.k, target, loss.r_up_abs, loss.r_down_abs)
+            loss = losses[k]
+            w = circ._lossy_reflection(state, k, target, loss.r_up_abs, loss.r_down_abs)
             weight *= w
             state.data /= w
-        for gate in event.after_gates:
-            if gate.qubit == ATOM:
-                circ._noisy_hadamard(state, ATOM, budget.p)
-            else:
-                circ._apply(state, gate)
+        if flags & H_ATOM:
+            circ._noisy_hadamard(state, ATOM, budget.p)
+        if flags & H_PHOTON:
+            circ._apply(state, circ.GateOp.hadamard(target))
     return state, weight
 
 

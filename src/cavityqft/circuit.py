@@ -263,16 +263,16 @@ def build_qft_program(n: int, K: int) -> CircuitProgram:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    photons = [photon(j) for j in range(1, n + 1)]
+    h_atom = GateOp.hadamard(ATOM)
     gates: list[GateOp] = []
-    for i in range(1, n + 1):
+    for i, target in enumerate(photons, start=1):
         # swap + trailing H_a, with the cancelling H_a H_a pair removed
         # (H_a commutes with H_p): two atomic Hadamards survive.
-        gates.extend(swap_from_cr1(i)[:-2])
-        gates.append(GateOp.hadamard(photon(i)))
-        for j in range(i + 1, n + 1):
-            k = j - i + 1
-            if k <= K:
-                gates.append(GateOp.controlled_phase(k, photon(j)))
+        cr1, h = GateOp.controlled_phase(1, target), GateOp.hadamard(target)
+        gates += (cr1, h_atom, h, cr1, h_atom, h, cr1, h)
+        # CR_k with k >= 2 on a photon: valid by construction
+        gates += [GateOp("CR", later, k) for k, later in zip(range(2, K + 1), photons[i:])]
     return CircuitProgram(arity=n, cutoff=K, gates=tuple(gates))
 
 

@@ -12,13 +12,9 @@ import sys
 
 import numpy as np
 
-from . import analysis, cavity as cav, circuit as circ, scheduler as sched
+from . import analysis, cavity as cav, circuit as circ, scheduler as sched, tables
 
 DEFAULT_SEED = 12345
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.11e}"
 
 
 def _write(path: str | None, text: str) -> None:
@@ -29,150 +25,22 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-# --- CSV writer -----------------------------------------------------------
-#
-# A table is a dict of columns, each a numpy array or a list. A float cell is
-# written as _fmt(x) and any other cell as str(x); the cells of an array are
-# its .tolist() elements, except that a bytes array holds ASCII text. Every
-# column becomes a (rows, width) uint8 matrix, each cell right-aligned in its
-# row, plus the byte length of each cell. The whole table is joined into one
-# matrix, compacted with a mask built from the lengths and decoded once.
-
-_POW10 = 10.0 ** np.arange(23)  # 1e0 .. 1e22, all exact doubles
-_INT_POW10 = 10 ** np.arange(20, dtype=np.uint64)
-
-
-def _text_cells(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    data = [t.encode() for t in texts]
-    lengths = np.array([len(d) for d in data], dtype=np.intp)
-    width = max(int(lengths.max(initial=0)), 1)
-    padded = np.array([d.rjust(width, b"\0") for d in data], dtype=f"S{width}")
-    return padded.view(np.uint8).reshape(len(data), width), lengths
-
-
-def _put_digits(out: np.ndarray, cols, t: np.ndarray) -> None:
-    """Write the len(cols) lowest decimal digits of t into out[:, cols]."""
-    for col in reversed(cols):
-        quotient = t // 10  # numpy divides by a constant several times faster than it takes %
-        out[:, col] = t - quotient * 10 + ord("0")
-        t = quotient
-
-
-def _float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cells equal to _fmt(v) for each v of a float64 array.
-
-    The 12 significant digits of |v| are rint(m), m = |v| * 10**(11 - e) with
-    e = floor(log10 |v|), formed with at most two exact powers of ten, so m
-    is within about 2.2e-4 of the exact product. Where m lies in
-    [1e11, 1e12) more than 1e-3 away from a rounding tie, rint(m) equals the
-    correctly rounded digits (Gay 1990); rint(m) = 1e12 carries into the
-    exponent. Zeros are written directly. Every other value (near ties,
-    |11 - e| > 44, inf, nan) goes through _fmt.
-    """
-    a = np.abs(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e = np.floor(np.log10(a))
-        fast = np.abs(11.0 - e) <= 44.0  # False for 0, inf and nan
-        s = np.where(fast, 11.0 - e, 0.0).astype(np.intp)
-        s1 = np.clip(s, -22, 22)
-        s2 = s - s1
-        m = a * _POW10[np.maximum(s1, 0)] / _POW10[np.maximum(-s1, 0)]
-        m = m * _POW10[np.maximum(s2, 0)] / _POW10[np.maximum(-s2, 0)]
-        fast &= (m >= 1e11) & (m < 1e12) & (np.abs(m - np.floor(m) - 0.5) > 1e-3)
-    q = np.where(fast, np.rint(m), 0.0).astype(np.int64)  # zeros print as 0 digits
-    e = np.where(fast, e, 0.0).astype(np.int64)
-    carry = q == 10**12
-    q[carry] = 10**11
-    e[carry] += 1
-
-    # Fast cells are "-d.ddddddddddde+XX" in columns 1..18, with the sign
-    # inside the cell only where it is negative; |e| <= 56 here, so two
-    # exponent digits. Column 0 is for the longest fallback, "-d.ddddddddddde-XXX".
-    out = np.empty((len(q), 19), np.uint8)
-    high = q // 10**6
-    _put_digits(out, (2, 4, 5, 6, 7, 8), high.astype(np.uint32))
-    _put_digits(out, range(9, 15), (q - high * 10**6).astype(np.uint32))
-    _put_digits(out, (17, 18), np.abs(e).astype(np.uint32))
-    out[:, 3] = ord(".")
-    out[:, 15] = ord("e")
-    out[:, 16] = np.where(e < 0, ord("-"), ord("+"))
-    out[:, 1] = ord("-")
-    lengths = 17 + np.signbit(x).astype(np.intp)
-
-    slow = np.flatnonzero(~fast & (a != 0.0))
-    if slow.size:
-        matrix, slow_lengths = _text_cells([_fmt(v) for v in x[slow].tolist()])
-        out[slow, 19 - matrix.shape[1] :] = matrix
-        lengths[slow] = slow_lengths
-    return out, lengths
-
-
-def _int_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    neg = x < 0
-    a = (np.abs(x.astype(np.int64)) if x.dtype.kind == "i" else x).astype(np.uint64)
-    lengths = np.maximum(np.searchsorted(_INT_POW10, a, side="right"), 1) + neg
-    width = int(lengths.max(initial=1))
-    out = np.empty((len(a), width), np.uint8)
-    _put_digits(out, range(width), a)
-    out[np.flatnonzero(neg), width - lengths[neg]] = ord("-")
-    return out, lengths
-
-
-def _cells(column) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, width) uint8 matrix of right-aligned cells and their byte lengths."""
-    if isinstance(column, np.ndarray):
-        if column.dtype == np.float64:
-            return _float_cells(column)
-        if column.dtype.kind in "iu":
-            return _int_cells(column)
-        if column.dtype.kind == "S":
-            width = column.itemsize
-            matrix = np.ascontiguousarray(column).view(np.uint8).reshape(len(column), width)
-            if matrix[:, -1].all():  # no cell is shorter than the width
-                return matrix, np.full(len(column), width)
-        column = _pylist(column)
-    if column and all(isinstance(v, float) for v in column):
-        return _float_cells(np.array(column, dtype=np.float64))
-    return _text_cells([_fmt(v) if isinstance(v, float) else str(v) for v in column])
-
-
-def _table_to_csv(columns: dict) -> str:
-    cells = [_cells(column) for column in columns.values()]
-    rows = len(cells[0][1])
-    table = np.empty((rows, sum(m.shape[1] + 1 for m, _ in cells)), np.uint8)
-    keep = np.ones(table.shape, dtype=bool)
-    start = 0
-    for matrix, lengths in cells:
-        width = matrix.shape[1]
-        stop = start + width
-        table[:, start:stop] = matrix
-        if np.any(lengths < width):
-            keep[:, start:stop] = np.arange(width) >= (width - lengths)[:, None]
-        table[:, stop] = ord(",")
-        start = stop + 1
-    table[:, -1] = ord("\n")
-    return ",".join(columns) + "\n" + str(table[keep], "utf-8")
-
-
-def _pylist(column) -> list:
-    if not isinstance(column, np.ndarray):
-        return list(column)
-    if column.dtype.kind == "S":
-        column = column.astype(str)
-    return column.tolist()
-
-
 def _emit(args, columns: dict, extra: dict | None = None) -> None:
+    """Write a table of columns (see tables) as CSV or JSON.
+
+    In CSV each extra is a "# key: value" line after the table, except that
+    each entry of a "violations" list is a "# VIOLATION: entry" line.
+    """
+    extra = extra or {}
     if args.format == "json":
-        rows = [dict(zip(columns, cells)) for cells in zip(*map(_pylist, columns.values()))]
-        payload: dict = {"rows": rows}
-        if extra:
-            payload.update(extra)
-        _write(args.out, json.dumps(payload, indent=2, default=str) + "\n")
+        rows = [dict(zip(columns, cells)) for cells in zip(*map(tables.pylist, columns.values()))]
+        _write(args.out, json.dumps({"rows": rows, **extra}, indent=2, default=str) + "\n")
     else:
-        text = _table_to_csv(columns)
-        if extra:
-            for key, value in extra.items():
+        text = tables.to_csv(columns)
+        for key, value in extra.items():
+            if key == "violations":
+                text += "".join(f"# VIOLATION: {v}\n" for v in value)
+            else:
                 text += f"# {key}: {value}\n"
         _write(args.out, text)
 
@@ -193,7 +61,7 @@ def cmd_phase_curve(args) -> int:
     marks = []
     for k in range(1, args.kmax + 1):
         delta_S = cav.solve_stark_shift(params, delta_0, delta_Z, k, args.stark_max)
-        marks.append({"k": k, "delta_S_GHz": _fmt(delta_S)})
+        marks.append({"k": k, "delta_S_GHz": tables.fmt(delta_S)})
     _emit(args, columns, extra={"marks": json.dumps(marks)})
     return 0
 
@@ -273,10 +141,10 @@ def cmd_simulate(args) -> int:
     report = analysis.total_distance(n, budget)
     populations = noisy.data.diagonal().real
     extra = {
-        "trace_distance": _fmt(dist),
-        "budget_D": _fmt(report.D),
-        "P_s": _fmt(report.P_s),
-        "postselection_weight": _fmt(weight),
+        "trace_distance": tables.fmt(dist),
+        "budget_D": tables.fmt(report.D),
+        "P_s": tables.fmt(report.P_s),
+        "postselection_weight": tables.fmt(weight),
     }
     index = np.arange(populations.size)
     _emit(args, {"index": index, "basis": _basis_column(n), "population": populations}, extra=extra)
@@ -291,22 +159,20 @@ def cmd_timeline(args) -> int:
     cutoff = args.cutoff if args.cutoff is not None else args.n
     timeline = sched.compile_timeline(cfg, cutoff)
     report = sched.validate_timeline(timeline)
-    text = sched.timeline_to_csv(timeline)
-    text += f"# reflects: {report.reflect_count}\n"
-    text += f"# makespan_ns: {_fmt(report.makespan)}\n"
-    text += f"# idle_cycles: {report.idle_cycles}\n"
+    extra = {
+        "reflects": report.reflect_count,
+        "makespan_ns": tables.fmt(report.makespan),
+        "idle_cycles": report.idle_cycles,
+    }
+    equal = True
     if args.check_equivalence:
         compiled = sched.timeline_to_program(timeline)
-        reference = circ.build_qft_program(args.n, cutoff)
-        equal = compiled.gates == reference.gates
-        text += f"# program_equivalent: {equal}\n"
-        if not equal:
-            _write(args.out, text)
-            return 1
-    for violation in report.violations:
-        text += f"# VIOLATION: {violation}\n"
-    _write(args.out, text)
-    return 0 if report.ok else 1
+        equal = compiled.gates == circ.build_qft_program(args.n, cutoff).gates
+        extra["program_equivalent"] = equal
+    if equal:  # a program mismatch is reported alone
+        extra["violations"] = report.violations
+    _emit(args, sched.timeline_columns(timeline), extra)
+    return 0 if equal and report.ok else 1
 
 
 # --- validate -------------------------------------------------------------
@@ -461,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, TypeError) as exc:
+    except (ValueError, OSError, KeyError, TypeError, circ.ZeroWeight) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,13 +6,61 @@ each at their CR_k Stark setting and re-enter delay line 1 for the next
 subroutine.  Subroutine i starts at (i-1) * (tau_1 + T_cycle); all travel
 times other than the two delay lines are zero, and switch settling is
 instantaneous.
+
+The timeline is a table: one EVENT record per event, sorted by time, and
+every stage (compile, validate, export) works on its columns.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+import numpy as np
+
+from . import tables
 from .circuit import ATOM, CircuitProgram, GateOp, photon
+
+# Event kinds, stored as their index in KINDS.
+KINDS = ("Inject", "Reflect", "EnterDelay1", "EnterDelay2", "SwitchSet", "Emit")
+INJECT, REFLECT, ENTER_DELAY1, ENTER_DELAY2, SWITCH_SET, EMIT = range(len(KINDS))
+# Settings of the cavity_out switch, stored as their index; 0 on other events.
+POSITIONS = ("", "delay2", "output", "delay1")
+DELAY2, OUTPUT, DELAY1 = 1, 2, 3
+# Hadamards applied right after a reflection, as bit flags; the atom's comes first.
+H_ATOM, H_PHOTON = 1, 2
+NO_PHOTON = 0  # photon indices start at 1
+
+EVENT = np.dtype(
+    [
+        ("time", np.float64),
+        ("kind", np.uint8),
+        ("photon", np.int64),
+        ("k", np.int64),  # CR_k setting of a Reflect, 0 on other events
+        ("position", np.uint8),
+        ("hadamards", np.uint8),
+    ]
+)
+
+# (kind, r, position, hadamards) of the first eight events of every
+# subroutine, in generation order, at time start + r * tau_2.  Three CR_1
+# reflections through delay line 2 implement the swap; the subroutine's
+# trailing atom Hadamard cancels the atom half of the final pair, so the
+# last reflection keeps only the photon half.
+_SWAP = np.array(
+    [
+        (SWITCH_SET, 0, DELAY2, 0),
+        (REFLECT, 0, 0, H_ATOM | H_PHOTON),
+        (ENTER_DELAY2, 0, 0, 0),
+        (REFLECT, 1, 0, H_ATOM | H_PHOTON),
+        (ENTER_DELAY2, 1, 0, 0),
+        (REFLECT, 2, 0, H_PHOTON),
+        (SWITCH_SET, 2, OUTPUT, 0),
+        (EMIT, 2, 0, 0),
+    ]
+).T
+
+_KIND_TEXT = np.array([kind.encode() for kind in KINDS])
+_POSITION_TEXT = [b""] + [f"cavity_out={p}".encode() for p in POSITIONS[1:]]
 
 
 class InvalidTiming(ValueError):
@@ -51,29 +99,13 @@ class TimingConfig:
         return cls(T_cycle=T_cycle, tau_1=(n + 1) * T_cycle, tau_2=T_cycle / 20.0, n=n)
 
 
-@dataclass(frozen=True)
-class TimelineEvent:
-    """One timestamped hardware event.
-
-    kind is one of Inject, Reflect, EnterDelay1, EnterDelay2, SwitchSet,
-    Emit.  Reflect events carry the CR_k Stark setting and the Hadamard
-    annotations applied right after the reflection.
-    """
-
-    time: float
-    kind: str
-    photon: int | None = None
-    k: int | None = None
-    switch: str | None = None
-    position: str | None = None
-    after_gates: tuple[GateOp, ...] = ()
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Timeline:
+    """The event schedule: `events` is an EVENT record array sorted by time."""
+
     config: TimingConfig
     cutoff: int
-    events: tuple[TimelineEvent, ...] = field(default_factory=tuple)
+    events: np.ndarray
 
 
 @dataclass
@@ -92,150 +124,178 @@ class TimelineReport:
 
 
 def compile_timeline(cfg: TimingConfig, K: int) -> Timeline:
-    """Full event schedule for all n subroutines."""
+    """Full event schedule for all n subroutines.
+
+    The events are generated in closed form in this order: the n
+    injections, then per subroutine i its swap events, the delay-1 switch
+    setting (all but the last subroutine) and, for each later photon j,
+    its CR_{j-i+1} reflection (if within the cutoff K) and its re-entry
+    into delay line 1.  A stable sort by time keeps that order among ties.
+    """
     if K < 1:
         raise InvalidTiming(f"cutoff must be >= 1, got {K}")
     n, T, tau_1, tau_2 = cfg.n, cfg.T_cycle, cfg.tau_1, cfg.tau_2
-    events: list[TimelineEvent] = []
+    kind, r, position, hadamards = _SWAP
+    i = np.arange(1, n + 1)
+    start = (i - 1) * (tau_1 + T)
+    later = n - i
+    size = kind.size + (later > 0) + later + np.minimum(later, K - 1)  # events of subroutine i
+    first = n + np.cumsum(size) - size
+    columns = {name: np.zeros(n + int(size.sum()), EVENT[name]) for name in EVENT.names}
 
-    for j in range(1, n + 1):
-        events.append(TimelineEvent(time=(j - 1) * T, kind="Inject", photon=j))
+    def put(rows, **values):
+        for name, value in values.items():
+            columns[name][rows] = value
 
-    for i in range(1, n + 1):
-        start = (i - 1) * (tau_1 + T)
-        events.append(
-            TimelineEvent(time=start, kind="SwitchSet", switch="cavity_out", position="delay2")
-        )
-        # Three CR_1 reflections through delay line 2 implement the swap;
-        # the subroutine's trailing atom Hadamard cancels the atom half of
-        # the final pair, so the last reflection keeps only the photon half.
-        for r in range(3):
-            t = start + r * tau_2
-            if r == 2:
-                after = (GateOp.hadamard(photon(i)),)
-            else:
-                after = (GateOp.hadamard(ATOM), GateOp.hadamard(photon(i)))
-            events.append(
-                TimelineEvent(time=t, kind="Reflect", photon=i, k=1, after_gates=after)
-            )
-            if r < 2:
-                events.append(TimelineEvent(time=t, kind="EnterDelay2", photon=i))
-        events.append(
-            TimelineEvent(
-                time=start + 2 * tau_2, kind="SwitchSet", switch="cavity_out", position="output"
-            )
-        )
-        events.append(TimelineEvent(time=start + 2 * tau_2, kind="Emit", photon=i))
-        if i < n:
-            events.append(
-                TimelineEvent(
-                    time=start + 0.5 * T, kind="SwitchSet", switch="cavity_out", position="delay1"
-                )
-            )
-        for j in range(i + 1, n + 1):
-            t = start + (j - i) * T
-            k = j - i + 1
-            if k <= K:
-                events.append(TimelineEvent(time=t, kind="Reflect", photon=j, k=k))
-            events.append(TimelineEvent(time=t, kind="EnterDelay1", photon=j))
+    put(slice(0, n), time=(i - 1) * T, kind=INJECT, photon=i)
+    put(
+        first[:, None] + np.arange(kind.size),
+        time=start[:, None] + r * tau_2,
+        kind=kind,
+        photon=np.where(kind == SWITCH_SET, NO_PHOTON, i[:, None]),
+        k=np.where(kind == REFLECT, 1, 0),
+        position=position,
+        hadamards=hadamards,
+    )
+    put(first[:-1] + kind.size, time=start[:-1] + 0.5 * T, kind=SWITCH_SET, position=DELAY1)
 
-    events.sort(key=lambda e: e.time)
-    return Timeline(config=cfg, cutoff=K, events=tuple(events))
+    # Photon j = i + 1 + d of subroutine i takes two rows, its CR_{d+2}
+    # reflection and its re-entry, while d + 2 <= K, and one row after that.
+    owner = np.repeat(i, later)
+    d = np.arange(owner.size) - np.repeat(np.cumsum(later) - later, later)
+    j = owner + 1 + d
+    t = np.repeat(start, later) + (j - owner) * T
+    base = np.repeat(first + kind.size + 1, later)
+    put(base + d + np.minimum(d + 1, K - 1), time=t, kind=ENTER_DELAY1, photon=j)
+    cr = d + 2 <= K
+    put((base + 2 * d)[cr], time=t[cr], kind=REFLECT, photon=j[cr], k=(d + 2)[cr])
+
+    order = np.argsort(columns["time"], kind="stable")
+    events = np.empty(order.size, EVENT)
+    for name, column in columns.items():
+        events[name] = column[order]
+    return Timeline(config=cfg, cutoff=K, events=events)
 
 
 def timeline_to_program(timeline: Timeline) -> CircuitProgram:
-    """Map the Reflect events (with Hadamard annotations) to a gate sequence."""
+    """Map the Reflect events (with their Hadamards) to a gate sequence."""
+    reflects = timeline.events[timeline.events["kind"] == REFLECT]
+    if np.any(reflects["k"] < 1):
+        raise ValueError(f"Reflect without a CR_k setting: k={reflects['k'].min()}")
+    qubits = {j: photon(j) for j in np.unique(reflects["photon"]).tolist()}
+    cr1 = {j: GateOp.controlled_phase(1, q) for j, q in qubits.items()}
+    h = {j: GateOp.hadamard(q) for j, q in qubits.items()}
+    h_atom = GateOp.hadamard(ATOM)
     gates: list[GateOp] = []
-    for event in timeline.events:
-        if event.kind != "Reflect":
-            continue
-        gates.append(GateOp.controlled_phase(event.k, photon(event.photon)))
-        gates.extend(event.after_gates)
+    for j, k, flags in zip(
+        reflects["photon"].tolist(), reflects["k"].tolist(), reflects["hadamards"].tolist()
+    ):
+        gates.append(cr1[j] if k == 1 else GateOp("CR", qubits[j], k))
+        if flags & H_ATOM:
+            gates.append(h_atom)
+        if flags & H_PHOTON:
+            gates.append(h[j])
     return CircuitProgram(arity=timeline.config.n, cutoff=timeline.cutoff, gates=tuple(gates))
 
 
 def validate_timeline(timeline: Timeline, tol: float = 1e-9) -> TimelineReport:
     """Check cavity exclusivity, delay consistency, and emission ordering.
 
-    One pass over the events collects the reflections, the emissions and
-    each photon's chain, so the check is linear in the number of events.
-    Events without a photon index in 1..n belong to no chain, and an Emit
-    without a photon index is reported as a violation.
+    Each check runs on whole columns, and messages are built only for the
+    flagged rows.  A photon's chain is its events in timeline order; events
+    without a photon index in 1..n belong to no chain, and an Emit without
+    a photon index is reported as a violation.
     """
     cfg = timeline.config
+    events = timeline.events
+    time, kind, photons = events["time"], events["kind"], events["photon"]
     violations: list[str] = []
 
-    reflects: list[TimelineEvent] = []
-    emits: list[TimelineEvent] = []
-    chains: dict[int, list[TimelineEvent]] = {j: [] for j in range(1, cfg.n + 1)}
-    for e in timeline.events:
-        if e.kind == "Reflect":
-            reflects.append(e)
-        elif e.kind == "Emit":
-            emits.append(e)
-        chain = chains.get(e.photon)
-        if chain is not None:
-            chain.append(e)
+    reflect = kind == REFLECT
+    t = time[reflect]
+    for q in np.flatnonzero(t[1:] - t[:-1] <= tol).tolist():
+        a, b = t[q : q + 2].tolist()
+        violations.append(f"overlapping reflections at t={a} and t={b}")
 
-    times = [e.time for e in reflects]
-    for a, b in zip(times, times[1:]):
-        if b - a <= tol:
-            violations.append(f"overlapping reflections at t={a} and t={b}")
-
-    seen = [e.photon for e in emits]
-    if None in seen:
+    emit = kind == EMIT
+    seen, t = photons[emit], time[emit]
+    if np.any(seen == NO_PHOTON):
         violations.append("emission multiset wrong: Emit without a photon index")
-    elif sorted(set(seen)) != list(range(1, cfg.n + 1)) or len(seen) != cfg.n:
-        violations.append(f"emission multiset wrong: {seen}")
-    for a, b in zip(emits, emits[1:]):
-        if a.photon is None or b.photon is None:
+    elif not np.array_equal(np.sort(seen), np.arange(1, cfg.n + 1)):
+        violations.append(f"emission multiset wrong: {seen.tolist()}")
+    undefined = (seen[:-1] == NO_PHOTON) | (seen[1:] == NO_PHOTON)
+    disordered = ~((seen[:-1] < seen[1:]) & (t[:-1] < t[1:]))
+    for q in np.flatnonzero(undefined | disordered).tolist():
+        if undefined[q]:
             violations.append("emission order undefined: Emit without a photon index")
-        elif not (a.photon < b.photon and a.time < b.time):
-            violations.append(f"emission order violated: photon {a.photon} vs {b.photon}")
+        else:
+            a, b = seen[q : q + 2].tolist()
+            violations.append(f"emission order violated: photon {a} vs {b}")
 
-    for j, chain in chains.items():
-        for a, b in zip(chain, chain[1:]):
-            if b.time < a.time - tol:
-                violations.append(f"photon {j} chain not time-ordered")
-            if a.kind == "EnterDelay2":
-                if abs(b.time - (a.time + cfg.tau_2)) > tol:
-                    violations.append(
-                        f"photon {j} delay-2 exit at {b.time}, expected {a.time + cfg.tau_2}"
-                    )
-            if a.kind == "EnterDelay1":
-                if abs(b.time - (a.time + cfg.tau_1)) > tol:
-                    violations.append(
-                        f"photon {j} delay-1 exit at {b.time}, expected {a.time + cfg.tau_1}"
-                    )
-        if chain and chain[-1].kind != "Emit":
-            violations.append(f"photon {j} never emitted")
+    # The chains, one after the other: rows of photons 1..n, each photon's
+    # in timeline order.  Row q and the next form a step of one chain where
+    # `same` holds, and `nxt` is the time of the next row.
+    rows = np.flatnonzero((photons >= 1) & (photons <= cfg.n))
+    rows = rows[np.argsort(photons[rows], kind="stable")]
+    j, t, step = photons[rows], time[rows], kind[rows]
+    same = np.append(j[1:] == j[:-1], False)
+    nxt = np.append(t[1:], np.nan)
+    backwards = same & (nxt < t - tol)
+    delay = np.where(step == ENTER_DELAY2, cfg.tau_2, cfg.tau_1)
+    in_delay = (step == ENTER_DELAY1) | (step == ENTER_DELAY2)
+    late = same & in_delay & (np.abs(nxt - (t + delay)) > tol)
+    unemitted = ~same & (step != EMIT)
+    for q in np.flatnonzero(backwards | late | unemitted).tolist():
+        p = int(j[q])
+        if backwards[q]:
+            violations.append(f"photon {p} chain not time-ordered")
+        if late[q]:
+            a, b = float(t[q]), float(nxt[q])
+            if step[q] == ENTER_DELAY2:
+                violations.append(f"photon {p} delay-2 exit at {b}, expected {a + cfg.tau_2}")
+            else:
+                violations.append(f"photon {p} delay-1 exit at {b}, expected {a + cfg.tau_1}")
+        if unemitted[q]:
+            violations.append(f"photon {p} never emitted")
 
-    makespan = max((e.time for e in timeline.events), default=0.0)
+    makespan = float(time.max()) if time.size else 0.0
     total_cycles = int(math.ceil(makespan / cfg.T_cycle)) if makespan > 0 else 0
     # The three swap reflections share one cycle; every CR_k reflection
     # occupies its own cycle.
-    active_cycles = cfg.n + sum(1 for e in reflects if e.k != 1)
-    report = TimelineReport(
+    active_cycles = cfg.n + int(np.count_nonzero(events["k"][reflect] != 1))
+    return TimelineReport(
         violations=violations,
-        reflect_count=len(reflects),
-        emit_count=len(emits),
+        reflect_count=int(np.count_nonzero(reflect)),
+        emit_count=int(np.count_nonzero(emit)),
         makespan=makespan,
         total_cycles=total_cycles,
         active_cycles=active_cycles,
         idle_cycles=max(total_cycles - active_cycles, 0),
     )
-    return report
+
+
+def timeline_columns(timeline: Timeline) -> dict:
+    """The event table for output: time_ns, event_kind, photon, parameter.
+
+    The photon of an event without one is masked, and the parameter is the
+    CR_k setting of a Reflect or the switch setting of a SwitchSet.
+    """
+    events = timeline.events
+    kind = events["kind"]
+    reflect = kind == REFLECT
+    # one label per switch position, then one per distinct CR_k setting
+    distinct, index = np.unique(events["k"][reflect], return_inverse=True)
+    labels = np.array(_POSITION_TEXT + [f"k={k}".encode() for k in distinct.tolist()])
+    label = np.where(kind == SWITCH_SET, events["position"], 0).astype(np.intp)
+    label[reflect] = len(_POSITION_TEXT) + index
+    return {
+        "time_ns": events["time"],
+        "event_kind": _KIND_TEXT[kind],
+        "photon": np.ma.masked_equal(events["photon"], NO_PHOTON),
+        "parameter": labels[label],
+    }
 
 
 def timeline_to_csv(timeline: Timeline) -> str:
     """Event dump: time_ns, event_kind, photon, parameter."""
-    lines = ["time_ns,event_kind,photon,parameter"]
-    for e in timeline.events:
-        if e.kind == "Reflect":
-            parameter = f"k={e.k}"
-        elif e.kind == "SwitchSet":
-            parameter = f"{e.switch}={e.position}"
-        else:
-            parameter = ""
-        lines.append(f"{e.time:.11e},{e.kind},{'' if e.photon is None else e.photon},{parameter}")
-    return "\n".join(lines) + "\n"
+    return tables.to_csv(timeline_columns(timeline))

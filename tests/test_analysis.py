@@ -34,7 +34,13 @@ from cavityqft.analysis import (
 )
 from cavityqft.cavity import OperatingPoint, default_operating_point, quantum_dot_params
 from cavityqft.circuit import QuantumState
-from cavityqft.scheduler import TimingConfig, compile_timeline, validate_timeline
+from cavityqft.scheduler import (
+    H_ATOM,
+    REFLECT,
+    TimingConfig,
+    compile_timeline,
+    validate_timeline,
+)
 
 
 # --- individual terms -----------------------------------------------------
@@ -282,15 +288,12 @@ def test_budget_coefficients_match_scheduler_counts():
     report = total_distance(n, NoiseBudget(T2_us=20.0, p=0.01, K=n, gates=qd))
     tl = compile_timeline(TimingConfig.default(n), n)
     sched = validate_timeline(tl)
-    cr1_reflects = sum(1 for e in tl.events if e.kind == "Reflect" and e.k == 1)
-    assert cr1_reflects == 3 * n  # weight of d_1
-    atom_h = sum(
-        sum(1 for g in e.after_gates if g.name == "H" and g.qubit.kind == "atom")
-        for e in tl.events
-    )
+    reflects = tl.events[tl.events["kind"] == REFLECT]
+    assert np.count_nonzero(reflects["k"] == 1) == 3 * n  # weight of d_1
+    atom_h = np.count_nonzero(reflects["hadamards"] & H_ATOM)
     assert atom_h == 2 * n  # weight of d_H
     for k in range(2, n + 1):
-        count = sum(1 for e in tl.events if e.kind == "Reflect" and e.k == k)
+        count = np.count_nonzero(reflects["k"] == k)
         assert count == n - k + 1  # weight of d_k
     assert sched.idle_cycles <= n * n  # weight of d_p is an upper bound
 

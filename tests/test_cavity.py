@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cavityqft.analysis import STARK_RANGE_GHZ, cavity_params_for_cooperativity
 from cavityqft.cavity import (
     CavityParams,
     DegenerateCooperativity,
@@ -96,6 +99,25 @@ def test_delta_theta_monotone_decreasing(qd, op_defaults):
         for s in np.geomspace(0.5, 800.0, 40)
     ]
     assert all(a > b for a, b in zip(values, values[1:]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(1.05, 400.0), st.lists(st.floats(-60.0, 0.0), min_size=1, max_size=30))
+def test_delta_theta_monotone_for_any_cooperativity(C, exponents):
+    # solve_stark_shift bisects delta_theta - 2 pi / 2^k over delta_S >= 0,
+    # which needs the phase to fall monotonically from pi on that branch
+    params = cavity_params_for_cooperativity(C)
+    delta_0, delta_Z = default_operating_point(params)
+    shifts = sorted([0.0] + [STARK_RANGE_GHZ * 2.0**x for x in exponents])
+    phases = [
+        controlled_phase(params, OperatingPoint(delta_0, delta_Z, s)).delta_theta for s in shifts
+    ]
+    slack = 4 * math.ulp(math.pi)  # rounding where the curve is flat, near pi and near 0
+    for s1, s2, a, b in zip(shifts, shifts[1:], phases, phases[1:]):
+        assert b <= a + slack
+        # a factor 2 in delta_S is a resolvable step for the targets k = 2 .. 24
+        if s2 >= 2 * s1 and 2 * math.pi / 2**24 <= b and a <= math.pi / 2:
+            assert b < a
 
 
 def test_delta_theta_in_principal_range(qd, op_defaults):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cavityqft import analysis, cli
+from cavityqft import analysis, cli, tables
 from cavityqft import circuit as circ
 from cavityqft.cli import main
 
@@ -160,6 +160,62 @@ def test_timeline_reflect_count(capsys):
     assert "# reflects: 12" in out
 
 
+def test_timeline_json_matches_csv(capsys):
+    argv = ["timeline", "--n", "4", "--cutoff", "3", "--check-equivalence"]
+    code, csv_out = run_cli(capsys, *argv)
+    assert code == 0
+    code, json_out = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(json_out)
+    lines = csv_out.splitlines()
+    table = [line for line in lines[1:] if not line.startswith("# ")]
+    assert len(payload["rows"]) == len(table)
+    for row, line in zip(payload["rows"], table):
+        time_ns, kind, photon, parameter = line.split(",")
+        assert list(row) == ["time_ns", "event_kind", "photon", "parameter"]
+        assert f"{row['time_ns']:.11e}" == time_ns
+        assert row["event_kind"] == kind
+        assert row["photon"] == (int(photon) if photon else None)
+        assert row["parameter"] == parameter
+    assert payload["reflects"] == 3 * 4 + 3 + 2
+    assert payload["makespan_ns"] == next(x[15:] for x in lines if x.startswith("# makespan_ns: "))
+    assert payload["idle_cycles"] == int(lines[-2].removeprefix("# idle_cycles: "))
+    assert payload["program_equivalent"] is True
+    assert payload["violations"] == []
+
+
+def test_timeline_violations_in_both_formats(capsys):
+    # at T_cycle = 1e-300, tau_2 = T_cycle / 20 is below the 1e-9 ns tolerance
+    argv = ["timeline", "--n", "2", "--T-cycle", "1e-300"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    violations = [x[13:] for x in out.splitlines() if x.startswith("# VIOLATION: ")]
+    assert violations and all(v.startswith("overlapping reflections") for v in violations)
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    assert code == 1
+    assert json.loads(out)["violations"] == violations
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["--n", "200", "--check-equivalence"],
+            "98deac9031b56fcc96d5c494d16e23b2d2247ef3448b4932c413d844ebe224db",
+        ),
+        (
+            ["--n", "300", "--cutoff", "12", "--check-equivalence"],
+            "8884b73fe26e4329c6bf82a6ea566ad0066c5497492a6684f0601c7643d1efee",
+        ),
+    ],
+)
+def test_timeline_output_digest(capsys, argv, digest):
+    # SHA-256 of the output of the object-based scheduler, before the columnar one
+    code, out = run_cli(capsys, "timeline", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -174,6 +230,18 @@ def test_timeline_invalid_input_exit_code(capsys, argv, message):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.strip() == message
+    assert captured.out == ""
+
+
+def test_zero_weight_exit_code(capsys, monkeypatch):
+    def lose_everything(*args, **kwargs):
+        raise circ.ZeroWeight("post-selection weight underflowed")
+
+    monkeypatch.setattr(analysis, "simulate_noisy_protocol", lose_everything)
+    code = main(["simulate", "--n", "2", "--input", "10", "--noise", "--cooperativity", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.strip() == "error: post-selection weight underflowed"
     assert captured.out == ""
 
 
@@ -225,7 +293,7 @@ def _reference_csv(columns: list[str], rows: list[dict]) -> str:
 
 
 def _float_texts(xs: list[float]) -> list[str]:
-    matrix, lengths = cli._float_cells(np.array(xs, dtype=np.float64))
+    matrix, lengths = tables.float_cells(np.array(xs, dtype=np.float64))
     width = matrix.shape[1]
     return [bytes(row[width - n :]).decode() for row, n in zip(matrix, lengths)]
 
@@ -291,14 +359,46 @@ def test_writer_matches_row_writer_on_mixed_cells():
     }
     rows = [
         dict(zip(columns, cells))
-        for cells in zip(*(cli._pylist(column) for column in columns.values()))
+        for cells in zip(*(tables.pylist(column) for column in columns.values()))
     ]
-    assert cli._table_to_csv(columns) == _reference_csv(list(columns), rows)
+    assert tables.to_csv(columns) == _reference_csv(list(columns), rows)
+
+
+text_cells = st.text(st.characters(codec="ascii"), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 12).flatmap(
+        lambda rows: st.lists(
+            st.one_of(
+                st.lists(text_cells, min_size=rows, max_size=rows).map(
+                    lambda xs: np.array([x.encode() for x in xs], dtype=bytes)
+                ),
+                st.lists(st.floats(), min_size=rows, max_size=rows).map(np.array),
+                st.lists(st.integers(-(2**63), 2**63 - 1), min_size=rows, max_size=rows).map(
+                    lambda xs: np.array(xs, dtype=np.int64)
+                ),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+)
+def test_writer_bytes_columns_with_short_cells(arrays):
+    # bytes cells of any length 0..6 in one column, inner NULs included (numpy
+    # drops trailing ones), mixed with float and int columns
+    columns = {f"c{i}": array for i, array in enumerate(arrays)}
+    rows = [
+        dict(zip(columns, cells))
+        for cells in zip(*(tables.pylist(column) for column in columns.values()))
+    ]
+    assert tables.to_csv(columns) == _reference_csv(list(columns), rows)
 
 
 def test_writer_zero_rows(capsys):
     empty = {"a": np.array([]), "b": [], "c": np.array([], dtype=int)}
-    assert cli._table_to_csv(empty) == "a,b,c\n"
+    assert tables.to_csv(empty) == "a,b,c\n"
     code, out = run_cli(capsys, "phase-curve", "--points", "0", "--kmax", "1")
     assert code == 0
     names = ["delta_S_GHz", "delta_theta_rad", "r_up_abs", "r_down_abs"]

@@ -1,14 +1,26 @@
 """Delay-loop event timeline: compilation, validation, export."""
+from __future__ import annotations
+
 import dataclasses
 import math
+from dataclasses import dataclass, field
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavityqft.circuit import build_qft_program
+from cavityqft.circuit import ATOM, GateOp, build_qft_program, photon
 from cavityqft.scheduler import (
+    EMIT,
+    H_ATOM,
+    H_PHOTON,
+    KINDS,
+    NO_PHOTON,
+    POSITIONS,
+    REFLECT,
     InvalidTiming,
+    TimelineReport,
     TimingConfig,
     compile_timeline,
     timeline_to_csv,
@@ -16,7 +28,9 @@ from cavityqft.scheduler import (
     validate_timeline,
 )
 
-KINDS = ("Inject", "Reflect", "EnterDelay1", "EnterDelay2", "SwitchSet", "Emit")
+
+def _kinds(timeline) -> list[str]:
+    return [KINDS[kind] for kind in timeline.events["kind"].tolist()]
 
 
 def test_config_validation():
@@ -55,19 +69,18 @@ def test_reflect_count_formula():
     # 3N swap reflections plus one CR reflection per retained pair
     for n in (1, 2, 3, 5):
         tl = compile_timeline(TimingConfig.default(n), n)
-        reflects = [e for e in tl.events if e.kind == "Reflect"]
         expected = 3 * n + sum(n - k + 1 for k in range(2, n + 1))
-        assert len(reflects) == expected
+        assert np.count_nonzero(tl.events["kind"] == REFLECT) == expected
 
 
 def test_n3_has_12_reflects():
     tl = compile_timeline(TimingConfig.default(3), 3)
-    assert sum(1 for e in tl.events if e.kind == "Reflect") == 12
+    assert _kinds(tl).count("Reflect") == 12
 
 
 def test_n1_minimal_timeline():
     tl = compile_timeline(TimingConfig.default(1), 1)
-    kinds = [e.kind for e in tl.events]
+    kinds = _kinds(tl)
     assert kinds.count("Reflect") == 3
     assert kinds.count("Emit") == 1
     assert kinds.count("Inject") == 1
@@ -76,8 +89,8 @@ def test_n1_minimal_timeline():
 def test_cutoff_drops_reflections():
     full = compile_timeline(TimingConfig.default(4), 4)
     cut = compile_timeline(TimingConfig.default(4), 2)
-    n_full = sum(1 for e in full.events if e.kind == "Reflect")
-    n_cut = sum(1 for e in cut.events if e.kind == "Reflect")
+    n_full = _kinds(full).count("Reflect")
+    n_cut = _kinds(cut).count("Reflect")
     assert n_full - n_cut == sum(1 for k in (3, 4) for _ in range(4 - k + 1))
 
 
@@ -100,9 +113,17 @@ def test_program_equivalence():
             assert timeline_to_program(tl).gates == build_qft_program(n, K).gates
 
 
+def test_program_rejects_reflect_without_setting():
+    timeline = compile_timeline(TimingConfig.default(3), 3)
+    events = timeline.events.copy()
+    events["k"][np.flatnonzero(events["kind"] == REFLECT)[4]] = 0
+    with pytest.raises(ValueError, match="Reflect without a CR_k setting: k=0"):
+        timeline_to_program(dataclasses.replace(timeline, events=events))
+
+
 def test_events_time_sorted():
     tl = compile_timeline(TimingConfig.default(5), 5)
-    times = [e.time for e in tl.events]
+    times = tl.events["time"].tolist()
     assert times == sorted(times)
 
 
@@ -115,9 +136,9 @@ def test_idle_cycles_bounded():
 
 def test_emission_in_order():
     tl = compile_timeline(TimingConfig.default(4), 4)
-    emits = [e for e in tl.events if e.kind == "Emit"]
-    assert [e.photon for e in emits] == [1, 2, 3, 4]
-    assert all(a.time < b.time for a, b in zip(emits, emits[1:]))
+    emits = tl.events[tl.events["kind"] == EMIT]
+    assert emits["photon"].tolist() == [1, 2, 3, 4]
+    assert np.all(np.diff(emits["time"]) > 0)
 
 
 def test_csv_export():
@@ -126,6 +147,166 @@ def test_csv_export():
     assert lines[0] == "time_ns,event_kind,photon,parameter"
     assert len(lines) == 1 + len(compile_timeline(TimingConfig.default(2), 2).events)
     assert any(",Reflect,2,k=2" in line for line in lines)
+
+
+# --- the object-based scheduler the columnar one replaced, as the oracle -----
+
+
+@dataclass(frozen=True)
+class _Event:
+    time: float
+    kind: str
+    photon: int | None = None
+    k: int | None = None
+    switch: str | None = None
+    position: str | None = None
+    after_gates: tuple[GateOp, ...] = ()
+
+
+@dataclass(frozen=True)
+class _ObjectTimeline:
+    config: TimingConfig
+    cutoff: int
+    events: tuple[_Event, ...] = field(default_factory=tuple)
+
+
+def _object_compile(cfg, K):
+    n, T, tau_1, tau_2 = cfg.n, cfg.T_cycle, cfg.tau_1, cfg.tau_2
+    events = []
+    for j in range(1, n + 1):
+        events.append(_Event(time=(j - 1) * T, kind="Inject", photon=j))
+    for i in range(1, n + 1):
+        start = (i - 1) * (tau_1 + T)
+        events.append(_Event(time=start, kind="SwitchSet", switch="cavity_out", position="delay2"))
+        for r in range(3):
+            t = start + r * tau_2
+            if r == 2:
+                after = (GateOp.hadamard(photon(i)),)
+            else:
+                after = (GateOp.hadamard(ATOM), GateOp.hadamard(photon(i)))
+            events.append(_Event(time=t, kind="Reflect", photon=i, k=1, after_gates=after))
+            if r < 2:
+                events.append(_Event(time=t, kind="EnterDelay2", photon=i))
+        events.append(
+            _Event(time=start + 2 * tau_2, kind="SwitchSet", switch="cavity_out", position="output")
+        )
+        events.append(_Event(time=start + 2 * tau_2, kind="Emit", photon=i))
+        if i < n:
+            events.append(
+                _Event(
+                    time=start + 0.5 * T, kind="SwitchSet", switch="cavity_out", position="delay1"
+                )
+            )
+        for j in range(i + 1, n + 1):
+            t = start + (j - i) * T
+            k = j - i + 1
+            if k <= K:
+                events.append(_Event(time=t, kind="Reflect", photon=j, k=k))
+            events.append(_Event(time=t, kind="EnterDelay1", photon=j))
+    events.sort(key=lambda e: e.time)
+    return _ObjectTimeline(config=cfg, cutoff=K, events=tuple(events))
+
+
+def _object_validate(timeline, tol=1e-9):
+    cfg = timeline.config
+    violations = []
+    reflects, emits = [], []
+    chains = {j: [] for j in range(1, cfg.n + 1)}
+    for e in timeline.events:
+        if e.kind == "Reflect":
+            reflects.append(e)
+        elif e.kind == "Emit":
+            emits.append(e)
+        chain = chains.get(e.photon)
+        if chain is not None:
+            chain.append(e)
+    times = [e.time for e in reflects]
+    for a, b in zip(times, times[1:]):
+        if b - a <= tol:
+            violations.append(f"overlapping reflections at t={a} and t={b}")
+    seen = [e.photon for e in emits]
+    if None in seen:
+        violations.append("emission multiset wrong: Emit without a photon index")
+    elif sorted(set(seen)) != list(range(1, cfg.n + 1)) or len(seen) != cfg.n:
+        violations.append(f"emission multiset wrong: {seen}")
+    for a, b in zip(emits, emits[1:]):
+        if a.photon is None or b.photon is None:
+            violations.append("emission order undefined: Emit without a photon index")
+        elif not (a.photon < b.photon and a.time < b.time):
+            violations.append(f"emission order violated: photon {a.photon} vs {b.photon}")
+    for j, chain in chains.items():
+        for a, b in zip(chain, chain[1:]):
+            if b.time < a.time - tol:
+                violations.append(f"photon {j} chain not time-ordered")
+            if a.kind == "EnterDelay2":
+                if abs(b.time - (a.time + cfg.tau_2)) > tol:
+                    violations.append(
+                        f"photon {j} delay-2 exit at {b.time}, expected {a.time + cfg.tau_2}"
+                    )
+            if a.kind == "EnterDelay1":
+                if abs(b.time - (a.time + cfg.tau_1)) > tol:
+                    violations.append(
+                        f"photon {j} delay-1 exit at {b.time}, expected {a.time + cfg.tau_1}"
+                    )
+        if chain and chain[-1].kind != "Emit":
+            violations.append(f"photon {j} never emitted")
+    makespan = max((e.time for e in timeline.events), default=0.0)
+    total_cycles = int(math.ceil(makespan / cfg.T_cycle)) if makespan > 0 else 0
+    active_cycles = cfg.n + sum(1 for e in reflects if e.k != 1)
+    return TimelineReport(
+        violations=violations,
+        reflect_count=len(reflects),
+        emit_count=len(emits),
+        makespan=makespan,
+        total_cycles=total_cycles,
+        active_cycles=active_cycles,
+        idle_cycles=max(total_cycles - active_cycles, 0),
+    )
+
+
+def _object_csv(timeline):
+    lines = ["time_ns,event_kind,photon,parameter"]
+    for e in timeline.events:
+        if e.kind == "Reflect":
+            parameter = f"k={e.k}"
+        elif e.kind == "SwitchSet":
+            parameter = f"{e.switch}={e.position}"
+        else:
+            parameter = ""
+        lines.append(f"{e.time:.11e},{e.kind},{'' if e.photon is None else e.photon},{parameter}")
+    return "\n".join(lines) + "\n"
+
+
+def _as_objects(timeline):
+    """The columnar timeline as the oracle's event objects.
+
+    A corrupted row may carry the photon Hadamard flag without a valid
+    photon; validation never reads the gates, so that gate is left out.
+    """
+    events = []
+    for time, kind, j, k, position, flags in timeline.events.tolist():
+        after = ()
+        if flags & H_ATOM:
+            after += (GateOp.hadamard(ATOM),)
+        if flags & H_PHOTON and j >= 1:
+            after += (GateOp.hadamard(photon(j)),)
+        events.append(
+            _Event(
+                time=time,
+                kind=KINDS[kind],
+                photon=None if j == NO_PHOTON else j,
+                k=k or None,
+                switch="cavity_out" if position else None,
+                position=POSITIONS[position] or None,
+                after_gates=after,
+            )
+        )
+    return _ObjectTimeline(timeline.config, timeline.cutoff, tuple(events))
+
+
+def _reflections(timeline):
+    """(time, photon, k, Hadamards) of each Reflect event of an oracle timeline."""
+    return [(e.time, e.photon, e.k, e.after_gates) for e in timeline.events if e.kind == "Reflect"]
 
 
 def _reference_violations(timeline, tol=1e-9):
@@ -170,21 +351,22 @@ def _reference_violations(timeline, tol=1e-9):
 
 def _corrupt(timeline, kind, photon, nth, changes):
     """Replace fields of the nth event of this kind and photon; drop it if no changes."""
-    events = list(timeline.events)
-    matches = [i for i, e in enumerate(events) if e.kind == kind and e.photon == photon]
+    events = timeline.events.copy()
+    matches = np.flatnonzero((events["kind"] == KINDS.index(kind)) & (events["photon"] == photon))
     i = matches[nth]
     if changes:
-        events[i] = dataclasses.replace(events[i], **changes)
+        for name, value in changes.items():
+            events[name][i] = value
     else:
-        del events[i]
-    return dataclasses.replace(timeline, events=tuple(events))
+        events = np.delete(events, i)
+    return dataclasses.replace(timeline, events=events)
 
 
 # Corruptions of the n = 4, K = 4 default schedule (T_cycle = 5, tau_1 = 25,
 # tau_2 = 0.25) and the exact violations each one must produce.
 CORRUPTIONS = {
     "overlapping reflections": (
-        ("EnterDelay1", 2, 0, {"kind": "Reflect"}),
+        ("EnterDelay1", 2, 0, {"kind": REFLECT}),
         ["overlapping reflections at t=5.0 and t=5.0"],
     ),
     "missing emit": (
@@ -208,7 +390,7 @@ CORRUPTIONS = {
         ["photon 2 delay-2 exit at 30.25, expected 30.375"],
     ),
     "emit without photon": (
-        ("Emit", 2, 0, {"photon": None}),
+        ("Emit", 2, 0, {"photon": NO_PHOTON}),
         [
             "emission multiset wrong: Emit without a photon index",
             "emission order undefined: Emit without a photon index",
@@ -216,8 +398,16 @@ CORRUPTIONS = {
             "photon 2 never emitted",
         ],
     ),
+    "emit with out-of-range photon": (
+        ("Emit", 2, 0, {"photon": 5}),
+        [
+            "emission multiset wrong: [1, 5, 3, 4]",
+            "emission order violated: photon 5 vs 3",
+            "photon 2 never emitted",
+        ],
+    ),
     "never emitted": (
-        ("SwitchSet", None, 2, {"photon": 1}),
+        ("SwitchSet", NO_PHOTON, 2, {"photon": 1}),
         ["photon 1 never emitted"],
     ),
 }
@@ -230,35 +420,39 @@ def test_validation_reports_corruption(name):
     report = validate_timeline(timeline)
     assert report.violations == expected
     assert not report.ok
+    assert report == _object_validate(_as_objects(timeline))
 
 
 @st.composite
 def corrupted_timelines(draw):
     n = draw(st.integers(1, 8))
     timeline = compile_timeline(TimingConfig.default(n), draw(st.integers(1, n)))
-    events = list(timeline.events)
+    events = timeline.events.copy()
     for _ in range(draw(st.integers(1, 4))):
-        if not events:
+        if not events.size:
             break
-        i = draw(st.integers(0, len(events) - 1))
+        i = draw(st.integers(0, events.size - 1))
         action = draw(st.sampled_from(("drop", "time", "photon", "kind")))
         if action == "drop":
-            del events[i]
+            events = np.delete(events, i)
         elif action == "time":
             shift = draw(st.sampled_from((-25.0, -5.0, -0.25, 1e-10, 0.25, 5.0, 25.0)))
-            events[i] = dataclasses.replace(events[i], time=events[i].time + shift)
+            events["time"][i] += shift
         elif action == "photon":
-            value = draw(st.one_of(st.none(), st.integers(0, n + 1)))
-            events[i] = dataclasses.replace(events[i], photon=value)
+            # NO_PHOTON (0) or an index, including the out-of-range -1 and n + 1
+            events["photon"][i] = draw(st.integers(-1, n + 1))
         else:
-            events[i] = dataclasses.replace(events[i], kind=draw(st.sampled_from(KINDS)))
-    return dataclasses.replace(timeline, events=tuple(events))
+            events["kind"][i] = draw(st.integers(0, len(KINDS) - 1))
+    return dataclasses.replace(timeline, events=events)
 
 
 @settings(max_examples=40, deadline=None)
 @given(corrupted_timelines())
 def test_validation_matches_per_photon_scan(timeline):
-    assert validate_timeline(timeline).violations == _reference_violations(timeline)
+    report = validate_timeline(timeline)
+    objects = _as_objects(timeline)
+    assert report.violations == _reference_violations(objects)
+    assert report == _object_validate(objects)
 
 
 def _assert_schedule_facts(n, K, T_cycle):
@@ -271,6 +465,11 @@ def _assert_schedule_facts(n, K, T_cycle):
     expected_makespan = (n - 1) * (cfg.tau_1 + cfg.T_cycle) + 2 * cfg.tau_2
     assert report.makespan == pytest.approx(expected_makespan, rel=1e-9)
     assert timeline_to_program(timeline).gates == build_qft_program(n, K).gates
+    # the same schedule, bit for bit, as the object-based scheduler
+    oracle = _object_compile(cfg, K)
+    assert timeline_to_csv(timeline) == _object_csv(oracle)
+    assert _reflections(_as_objects(timeline)) == _reflections(oracle)
+    assert report == _object_validate(oracle)
 
 
 @settings(max_examples=30, deadline=None)
@@ -285,3 +484,8 @@ def test_random_timelines_are_valid(data):
 @pytest.mark.parametrize("K", [98, 10])
 def test_paper_scale_timeline_is_valid(K):
     _assert_schedule_facts(98, K, 5.0)
+
+
+def test_settings_beyond_one_byte():
+    # photon indices and CR_k settings above 255
+    _assert_schedule_facts(300, 300, 0.7)

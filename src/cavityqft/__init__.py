@@ -14,17 +14,15 @@ from .cavity import (
     zeeman_splitting,
 )
 from .circuit import (
-    ATOM,
-    CircuitProgram,
-    GateOp,
+    H_ATOM,
+    H_PHOTON,
+    STEP,
     QuantumState,
-    QubitRef,
     apply_gate,
     build_qft_program,
     ideal_qft_unitary,
-    photon,
+    run_steps,
     simulate_program,
-    swap_from_cr1,
 )
 from .scheduler import TimingConfig, compile_timeline, timeline_to_program, validate_timeline
 from .analysis import (

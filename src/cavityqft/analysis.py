@@ -29,8 +29,8 @@ from scipy.optimize import minimize
 from . import cavity as cav
 from . import circuit as circ
 from .cavity import CavityParams, OperatingPoint
-from .circuit import ATOM, QuantumState
-from .scheduler import H_ATOM, H_PHOTON, REFLECT, TimingConfig, compile_timeline
+from .circuit import QuantumState
+from .scheduler import REFLECT, TimingConfig, compile_timeline, timeline_to_program
 
 ORACLE_DIM_CAP = 6
 
@@ -478,8 +478,9 @@ def simulate_noisy_protocol(
 ) -> tuple[QuantumState, float]:
     """Density-matrix run of the full protocol with all noise sources.
 
-    Reflections follow the compiled hardware timeline; the atom dephases
-    for the real time elapsed between consecutive reflections, atomic
+    The timeline's program runs through the same step interpreter as
+    `circuit.simulate_program`, with noise on every step: the atom dephases
+    for the real time elapsed since the previous reflection, atomic
     Hadamards carry the phase-flip error p, and (for cavity gates) each
     reflection applies the solved lossy post-selection.  Returns the
     renormalized output and the accumulated post-selection weight.
@@ -488,35 +489,20 @@ def simulate_noisy_protocol(
     timeline = compile_timeline(TimingConfig.default(n, budget.T_cycle_ns), max(k_eff, 1))
     losses = None
     if not budget.ideal_gates:
-        losses = solve_gate_losses(budget.gates, k_eff)
+        losses = {
+            k: (loss.r_up_abs, loss.r_down_abs)
+            for k, loss in solve_gate_losses(budget.gates, k_eff).items()
+        }
+    dephasing = None
+    t2_ns = budget.T2_us * 1000.0
+    if math.isfinite(t2_ns):
+        # the atom dephases between consecutive reflections
+        times = timeline.events["time"][timeline.events["kind"] == REFLECT]
+        dephasing = [None] + [math.exp(-dt / t2_ns) for dt in np.diff(times).tolist()]
 
     # one density matrix, owned by this run and updated in place throughout
     state = input_state.to_density()
-    weight = 1.0
-    t2_ns = budget.T2_us * 1000.0
-    prev_time: float | None = None
-    reflects = timeline.events[timeline.events["kind"] == REFLECT]
-    for time, j, k, flags in zip(
-        reflects["time"].tolist(),
-        reflects["photon"].tolist(),
-        reflects["k"].tolist(),
-        reflects["hadamards"].tolist(),
-    ):
-        if prev_time is not None and math.isfinite(t2_ns):
-            circ._dephase(state, ATOM, math.exp(-(time - prev_time) / t2_ns))
-        prev_time = time
-        target = circ.photon(j)
-        if losses is None:
-            circ._apply(state, circ.GateOp.controlled_phase(k, target))
-        else:
-            loss = losses[k]
-            w = circ._lossy_reflection(state, k, target, loss.r_up_abs, loss.r_down_abs)
-            weight *= w
-            state.data /= w
-        if flags & H_ATOM:
-            circ._noisy_hadamard(state, ATOM, budget.p)
-        if flags & H_PHOTON:
-            circ._apply(state, circ.GateOp.hadamard(target))
+    weight = circ.run_steps(timeline_to_program(timeline), state, dephasing, losses, budget.p)
     return state, weight
 
 

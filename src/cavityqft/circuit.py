@@ -9,32 +9,49 @@ empirically at n = 1, 2 and asserted for all larger n): photon 1 carries
 the initial ancilla state |0>, the atom carries output bit y1, and photon
 j (j >= 2) carries output bit y_{n+2-j} of the transform.
 
+Program: the protocol is a stream of photon reflections off the one
+atom-cavity system, so a gate program is a STEP record array with one row
+per reflection: CR_k between the atom and photon `photon`, then the
+Hadamards flagged in `hadamards`, the atom's first.  These are exactly the
+scheduler's Reflect events.
+
 Kernel layout: gates act in place on a strided view of the flat
-amplitude array (Haener & Steiger, arXiv:1704.01127).  A Hadamard on the
-qubit at bit position a works on `reshape(2**a, 2, -1)` and updates the
-two halves with two fused axpy-style passes; a CR_k multiplies the one
-quarter of the amplitudes whose atom and photon bits are both 1.  A
+amplitude array (Haener & Steiger, arXiv:1704.01127), and take the bit
+position of their qubit: 0 for the atom, j for photon j.  A Hadamard on
+the qubit at bit position a works on `reshape(2**a, 2, -1)` and updates
+the two halves with two fused axpy-style passes; a CR_k multiplies the
+one quarter of the amplitudes whose atom and photon bits are both 1.  A
 density matrix over m qubits is the same array flattened to 2m qubits:
 U acts on row position a and conj(U) on column position a + m, so pure
 states and density matrices share one code path.  The noise channels
-scale blocks of the same views.
+(`_dephase`, `_noisy_hadamard`, `_lossy_reflection`) scale blocks of the
+same views.
 
-The public functions never mutate their input: `apply_gate` and the
-channels copy the state once, `simulate_program` copies it once and
-then applies every gate to that copy in place.  The in-place forms
-(`_apply`, `_dephase`, `_noisy_hadamard`, `_lossy_reflection`) are for
-a caller that owns its state, as `analysis.simulate_noisy_protocol` does.
+One interpreter: `run_steps` applies the rows in order, each through
+`apply_gate`, on a state it is given to update in place.
+`simulate_program` runs it on a copy of its input, and
+`analysis.simulate_noisy_protocol` on its own density matrix with the
+protocol's noise.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
 MAX_PURE_QUBITS = 20
 MAX_DENSITY_QUBITS = 8
+
+# Hadamards applied right after a reflection, as bit flags; the atom's comes first.
+H_ATOM, H_PHOTON = 1, 2
+
+STEP = np.dtype([("photon", np.int64), ("k", np.int64), ("hadamards", np.uint8)])
+
+# The three CR_1 steps that swap photon i into the atom.  The subroutine's
+# trailing atom Hadamard cancels the atom half of the last pair
+# (H_a H_a = 1), so the last step keeps only the photon half.
+_SWAP_FLAGS = (H_ATOM | H_PHOTON, H_ATOM | H_PHOTON, H_PHOTON)
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -45,82 +62,6 @@ class ArityMismatch(ValueError):
 
 class ZeroWeight(ArithmeticError):
     """Post-selection weight underflowed: all amplitude was lost."""
-
-
-@dataclass(frozen=True)
-class QubitRef:
-    """Reference to the atom or to photon `index` (1-based)."""
-
-    kind: str
-    index: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("atom", "photon"):
-            raise ValueError(f"unknown qubit kind {self.kind!r}")
-        if self.kind == "photon" and (self.index is None or self.index < 1):
-            raise ValueError(f"photon index must be >= 1, got {self.index}")
-        if self.kind == "atom" and self.index is not None:
-            raise ValueError("atom carries no index")
-
-    def __str__(self) -> str:
-        return "a" if self.kind == "atom" else f"p{self.index}"
-
-
-ATOM = QubitRef("atom")
-
-
-def photon(j: int) -> QubitRef:
-    return QubitRef("photon", j)
-
-
-@dataclass(frozen=True)
-class GateOp:
-    """One abstract gate instruction.
-
-    name "H": Hadamard on `qubit`.
-    name "CR": controlled phase diag(1,1,1,e^{i 2 pi / 2^k}) between the
-        atom and photon `qubit`.
-    """
-
-    name: str
-    qubit: QubitRef | None = None
-    k: int | None = None
-
-    @staticmethod
-    def hadamard(q: QubitRef) -> "GateOp":
-        return GateOp("H", qubit=q)
-
-    @staticmethod
-    def controlled_phase(k: int, target: QubitRef) -> "GateOp":
-        if k < 1:
-            raise ValueError(f"CR_k needs k >= 1, got {k}")
-        if target.kind != "photon":
-            raise ValueError("controlled phase targets a photon")
-        return GateOp("CR", qubit=target, k=k)
-
-
-@dataclass(frozen=True)
-class CircuitProgram:
-    """Ordered gate list for an n-photon circuit with CR cutoff K."""
-
-    arity: int
-    cutoff: int
-    gates: tuple[GateOp, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        if self.arity < 0:
-            raise ValueError("arity must be nonnegative")
-        if self.cutoff < 1:
-            raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
-        for gate in self.gates:
-            if gate.qubit is not None and gate.qubit.kind == "photon":
-                if gate.qubit.index > self.arity:
-                    raise ArityMismatch(
-                        f"gate {gate} references photon {gate.qubit.index} "
-                        f"but arity is {self.arity}"
-                    )
-            if gate.name == "CR" and gate.k > self.cutoff:
-                raise ValueError(f"CR_{gate.k} present but cutoff is {self.cutoff}")
 
 
 class QuantumState:
@@ -186,12 +127,8 @@ class QuantumState:
             return float(np.trace(self.data).real)
         return float(np.vdot(self.data, self.data).real)
 
-    def _qubit_axis(self, q: QubitRef) -> int:
-        if q.kind == "atom":
-            return 0
-        if q.index > self.n:
-            raise ArityMismatch(f"photon {q.index} out of range for n={self.n}")
-        return q.index
+
+# --- in-place kernels and channels -----------------------------------------
 
 
 def _pair(data: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -199,61 +136,150 @@ def _pair(data: np.ndarray, i: int, j: int) -> np.ndarray:
     return data.reshape(2**i, 2, 2 ** (j - i - 1), 2, -1)
 
 
-def _apply_inplace(
-    data: np.ndarray, axis: int, gate: GateOp, atom: int = 0, conj: bool = False
-) -> None:
-    """Apply U (or conj(U)) of `gate` to the C-contiguous array `data` in place.
-
-    `axis` is the bit position of the gate's qubit in the flattened index
-    and `atom` that of the atom, which CR also acts on.
-    """
-    if gate.name == "H":
-        halves = data.reshape(2**axis, 2, -1)
-        lo, hi = halves[:, 0], halves[:, 1]
-        lo += hi
-        lo *= _SQRT_HALF  # (a + b) / sqrt2
-        hi *= -2.0 * _SQRT_HALF
-        hi += lo  # (a - b) / sqrt2
-    elif gate.name == "CR":
-        phase = np.exp(2j * math.pi / 2**gate.k)
-        _pair(data, atom, axis)[:, 1, :, 1] *= np.conj(phase) if conj else phase
-    else:
-        raise ValueError(f"unknown gate {gate.name!r}")
+def _h(data: np.ndarray, a: int) -> None:
+    """Hadamard on the bit at position a of the flat array `data`."""
+    halves = data.reshape(2**a, 2, -1)
+    lo, hi = halves[:, 0], halves[:, 1]
+    lo += hi
+    lo *= _SQRT_HALF  # (a + b) / sqrt2
+    hi *= -2.0 * _SQRT_HALF
+    hi += lo  # (a - b) / sqrt2
 
 
-def _apply(state: QuantumState, gate: GateOp) -> None:
-    """Apply a gate unitary to `state` in place: U on the (row) index, and
-    conj(U) on the column index of a density matrix."""
-    axis = state._qubit_axis(gate.qubit)
-    _apply_inplace(state.data, axis, gate)
+def _hadamard(state: QuantumState, q: int) -> None:
+    """Hadamard on the qubit at bit position q: on the row index, then on
+    the column index of a density matrix."""
+    _h(state.data, q)
+    if state.density:
+        _h(state.data, q + state.num_qubits)
+
+
+def _controlled_phase(state: QuantumState, k: int, j: int) -> None:
+    """CR_k = diag(1, 1, 1, e^{i 2 pi / 2^k}) between the atom and photon j."""
+    phase = np.exp(2j * math.pi / 2**k)
+    _pair(state.data, 0, j)[:, 1, :, 1] *= phase
     if state.density:
         m = state.num_qubits
-        _apply_inplace(state.data, axis + m, gate, atom=m, conj=True)
+        _pair(state.data, m, j + m)[:, 1, :, 1] *= np.conj(phase)
 
 
-def apply_gate(state: QuantumState, gate: GateOp) -> QuantumState:
-    """Apply one gate unitary to a copy of `state`; norm/trace preserving."""
+def _dephase(state: QuantumState, q: int, factor: float) -> None:
+    """Scale the coherences of the qubit at bit position q by `factor`: the
+    two blocks where its row and column bits differ (density matrix only)."""
+    blocks = _pair(state.data, q, q + state.num_qubits)
+    blocks[:, 0, :, 1] *= factor
+    blocks[:, 1, :, 0] *= factor
+
+
+def _noisy_hadamard(state: QuantumState, q: int, p: float) -> None:
+    """(1 - p) H rho H + p Z H rho H Z.
+
+    Z-conjugation flips the sign of the qubit's coherences and leaves the
+    rest alone, so the mixture scales the coherences by 1 - 2p.
+    """
+    _hadamard(state, q)
+    _dephase(state, q, 1.0 - 2.0 * p)
+
+
+def _lossy_reflection(
+    state: QuantumState, k: int, j: int, mag_up: float, mag_down: float
+) -> float:
+    """CR_k on photon j, then the loss measurement M = diag(1, 1, |r_up|, |r_down|).
+
+    M is diagonal in the (photon, atom) basis: vertical-polarization
+    amplitudes are scaled by the spin-dependent reflection magnitude.  The
+    density matrix is left unnormalized; returns its trace weight.
+    """
+    _controlled_phase(state, k, j)
+    for atom in (0, state.num_qubits):
+        # photon |1> is the lossy branch; atom |0> (spin up) sees |r_up|
+        lossy = _pair(state.data, atom, atom + j)[:, :, :, 1]
+        lossy[:, 0] *= mag_up
+        lossy[:, 1] *= mag_down
+    weight = float(np.trace(state.data).real)
+    if weight < 1e-300:
+        raise ZeroWeight("post-selection weight underflowed")
+    return weight
+
+
+# --- the step interpreter --------------------------------------------------
+
+
+def apply_gate(
+    state: QuantumState,
+    j: int,
+    k: int,
+    hadamards: int,
+    dephase: float | None = None,
+    loss: tuple[float, float] | None = None,
+    p: float | None = None,
+) -> float:
+    """Apply one step in place: CR_k between the atom and photon j, then the
+    Hadamards flagged in `hadamards`.
+
+    The noise arguments act on a density matrix: `dephase` scales the
+    atom's coherences before the reflection, `loss` = (|r_up|, |r_down|)
+    makes the reflection lossy and renormalizes after it, and p is the
+    phase-flip probability of the atomic Hadamard.  Returns the step's
+    post-selection weight, 1.0 without loss.
+    """
+    weight = 1.0
+    if dephase is not None:
+        _dephase(state, 0, dephase)
+    if loss is None:
+        _controlled_phase(state, k, j)
+    else:
+        weight = _lossy_reflection(state, k, j, *loss)
+        state.data /= weight
+    if hadamards & H_ATOM:
+        if p is None:
+            _hadamard(state, 0)
+        else:
+            _noisy_hadamard(state, 0, p)
+    if hadamards & H_PHOTON:
+        _hadamard(state, j)
+    return weight
+
+
+def run_steps(
+    program: np.ndarray,
+    state: QuantumState,
+    dephasing: list[float | None] | None = None,
+    losses: dict[int, tuple[float, float]] | None = None,
+    p: float | None = None,
+) -> float:
+    """Apply every step of a STEP table to `state` in place, in order.
+
+    `dephasing[s]` is the dephasing factor before step s, `losses[k]` the
+    (|r_up|, |r_down|) of CR_k and p the atomic Hadamard's phase-flip
+    probability (see `apply_gate`); leave them out for ideal gates.
+    Returns the product of the step weights.
+    """
+    photons, ks = program["photon"], program["k"]
+    outside = (photons < 1) | (photons > state.n)
+    if np.any(outside):
+        raise ArityMismatch(f"photon {photons[outside][0]} out of range for n={state.n}")
+    if np.any(ks < 1):
+        raise ValueError(f"CR_k needs k >= 1, got {ks.min()}")
+    if dephasing is None:
+        dephasing = [None] * len(program)
+    weight = 1.0
+    for j, k, flags, factor in zip(
+        photons.tolist(), ks.tolist(), program["hadamards"].tolist(), dephasing
+    ):
+        weight *= apply_gate(state, j, k, flags, factor, None if losses is None else losses[k], p)
+    return weight
+
+
+def simulate_program(program: np.ndarray, state: QuantumState) -> QuantumState:
+    """Every step of the program applied in order to a copy of `state`."""
     out = state.copy()
-    _apply(out, gate)
+    run_steps(program, out)
     return out
 
 
-def swap_from_cr1(j: int) -> list[GateOp]:
-    """Atom <-> photon-j swap as three CR_1 reflections with interleaved Hadamards.
-
-    Time-ordered: the product H_{a,p} CR_1 H_{a,p} CR_1 H_{a,p} CR_1 equals
-    the SWAP unitary exactly (H_{a,p} is a Hadamard on both atom and photon).
-    """
-    block = [
-        GateOp.controlled_phase(1, photon(j)),
-        GateOp.hadamard(ATOM),
-        GateOp.hadamard(photon(j)),
-    ]
-    return block * 3
-
-
-def build_qft_program(n: int, K: int) -> CircuitProgram:
-    """Streaming QFT on n photons with CR gates above k=K discarded.
+def build_qft_program(n: int, K: int) -> np.ndarray:
+    """Streaming QFT on n photons with CR gates above k=K discarded, as a STEP table.
 
     Subroutine i swaps photon i into the atom, Hadamard-rotates the atom,
     then applies CR_{j-i+1} between the atom and each later photon j.  In
@@ -263,17 +289,19 @@ def build_qft_program(n: int, K: int) -> CircuitProgram:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    photons = [photon(j) for j in range(1, n + 1)]
-    h_atom = GateOp.hadamard(ATOM)
-    gates: list[GateOp] = []
-    for i, target in enumerate(photons, start=1):
-        # swap + trailing H_a, with the cancelling H_a H_a pair removed
-        # (H_a commutes with H_p): two atomic Hadamards survive.
-        cr1, h = GateOp.controlled_phase(1, target), GateOp.hadamard(target)
-        gates += (cr1, h_atom, h, cr1, h_atom, h, cr1, h)
-        # CR_k with k >= 2 on a photon: valid by construction
-        gates += [GateOp("CR", later, k) for k, later in zip(range(2, K + 1), photons[i:])]
-    return CircuitProgram(arity=n, cutoff=K, gates=tuple(gates))
+    if K < 1:
+        raise ValueError(f"cutoff must be >= 1, got {K}")
+    subroutines = []
+    for i in range(1, n + 1):
+        later = np.arange(i + 1, min(n, i + K - 1) + 1)
+        steps = np.zeros(3 + later.size, STEP)
+        steps["photon"][:3] = i
+        steps["photon"][3:] = later
+        steps["k"][:3] = 1
+        steps["k"][3:] = later - i + 1
+        steps["hadamards"][:3] = _SWAP_FLAGS
+        subroutines.append(steps)
+    return np.concatenate(subroutines)
 
 
 def ideal_qft_unitary(n: int) -> np.ndarray:
@@ -301,99 +329,3 @@ def embed_qft_output(n: int, amplitudes: np.ndarray) -> np.ndarray:
             index = (index << 1) | bits[n + 1 - j]
         out[index] += amplitudes[y]
     return out
-
-
-def simulate_program(program: CircuitProgram, state: QuantumState) -> QuantumState:
-    """Every gate of the program applied in order to a copy of `state`."""
-    if state.n != program.arity:
-        raise ArityMismatch(f"state has n={state.n}, program arity {program.arity}")
-    out = state.copy()
-    for gate in program.gates:
-        _apply(out, gate)
-    return out
-
-
-# --- noise channels (density-matrix only) ---------------------------------
-
-
-def _require_density(state: QuantumState) -> None:
-    if not state.density:
-        raise ValueError("noise channels act on density matrices")
-
-
-def _dephase(state: QuantumState, qubit: QubitRef, factor: float) -> None:
-    """Scale the coherences of `qubit` by `factor` in place: the two blocks
-    where its row and column bits differ."""
-    axis = state._qubit_axis(qubit)
-    blocks = _pair(state.data, axis, axis + state.num_qubits)
-    blocks[:, 0, :, 1] *= factor
-    blocks[:, 1, :, 0] *= factor
-
-
-def dephasing_channel(state: QuantumState, qubit: QubitRef, t: float, T2: float) -> QuantumState:
-    """Damp the qubit's off-diagonal elements by e^{-t/T2}."""
-    _require_density(state)
-    if t < 0.0 or T2 <= 0.0:
-        raise ValueError("need t >= 0 and T2 > 0")
-    out = state.copy()
-    _dephase(out, qubit, math.exp(-t / T2) if math.isfinite(T2) else 1.0)
-    return out
-
-
-def _noisy_hadamard(state: QuantumState, qubit: QubitRef, p: float) -> None:
-    """In-place (1 - p) H rho H + p Z H rho H Z.
-
-    Z-conjugation flips the sign of the qubit's coherences and leaves the
-    rest alone, so the mixture scales the coherences by 1 - 2p.
-    """
-    _apply(state, GateOp.hadamard(qubit))
-    _dephase(state, qubit, 1.0 - 2.0 * p)
-
-
-def noisy_hadamard(state: QuantumState, qubit: QubitRef, p: float) -> QuantumState:
-    """Ideal Hadamard followed by a phase flip applied with probability p."""
-    _require_density(state)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    out = state.copy()
-    _noisy_hadamard(out, qubit, p)
-    return out
-
-
-def _lossy_reflection(
-    state: QuantumState, k: int, target: QubitRef, mag_up: float, mag_down: float
-) -> float:
-    """In-place CR_k and loss measurement on a density matrix; returns its trace weight."""
-    _apply(state, GateOp.controlled_phase(k, target))
-    axis = state._qubit_axis(target)
-    for atom in (0, state.num_qubits):
-        # photon |1> is the lossy branch; atom |0> (spin up) sees |r_up|
-        lossy = _pair(state.data, atom, atom + axis)[:, :, :, 1]
-        lossy[:, 0] *= mag_up
-        lossy[:, 1] *= mag_down
-    weight = float(np.trace(state.data).real)
-    if weight < 1e-300:
-        raise ZeroWeight("post-selection weight underflowed")
-    return weight
-
-
-def lossy_reflection(
-    state: QuantumState,
-    k: int,
-    target: QubitRef,
-    r_up: complex,
-    r_down: complex,
-) -> tuple[QuantumState, float]:
-    """Ideal CR_k followed by the loss measurement M = diag(1, 1, |r_up|, |r_down|).
-
-    M is diagonal in the (photon, atom) basis: vertical-polarization
-    amplitudes are scaled by the spin-dependent reflection magnitude.
-    Returns the unnormalized post-measurement state and its trace weight;
-    the caller renormalizes after post-selection.
-    """
-    _require_density(state)
-    mag_up, mag_down = abs(r_up), abs(r_down)
-    if mag_up > 1.0 + 1e-12 or mag_down > 1.0 + 1e-12:
-        raise ValueError("reflection magnitudes must not exceed 1")
-    out = state.copy()
-    return out, _lossy_reflection(out, k, target, mag_up, mag_down)

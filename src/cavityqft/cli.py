@@ -101,10 +101,10 @@ def cmd_success(args) -> int:
 
 
 def _parse_bits(text: str, n: int) -> list[int]:
-    bits = [int(c) for c in text.strip()]
-    if len(bits) != n or any(b not in (0, 1) for b in bits):
+    digits = text.strip()
+    if len(digits) != n or not set(digits) <= {"0", "1"}:
         raise ValueError(f"input must be {n} bits of 0/1, got {text!r}")
-    return bits
+    return [int(c) for c in digits]
 
 
 def _basis_column(n: int) -> np.ndarray:
@@ -118,6 +118,8 @@ def _basis_column(n: int) -> np.ndarray:
 
 def cmd_simulate(args) -> int:
     n = args.n
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     cutoff = args.cutoff if args.cutoff is not None else n
     bits = _parse_bits(args.input, n) if args.input else [0] * n
     state = circ.QuantumState.basis(n, bits)
@@ -167,7 +169,7 @@ def cmd_timeline(args) -> int:
     equal = True
     if args.check_equivalence:
         compiled = sched.timeline_to_program(timeline)
-        equal = compiled.gates == circ.build_qft_program(args.n, cutoff).gates
+        equal = bool(np.array_equal(compiled, circ.build_qft_program(args.n, cutoff)))
         extra["program_equivalent"] = equal
     if equal:  # a program mismatch is reported alone
         extra["violations"] = report.violations
@@ -179,16 +181,11 @@ def cmd_timeline(args) -> int:
 
 
 def _suite_swap_identity() -> bool:
-    program = circ.swap_from_cr1(1)
-    dim = 4
-    got = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        vec = np.zeros(dim, dtype=complex)
-        vec[col] = 1.0
-        state = circ.QuantumState(1, vec)
-        for gate in program:
-            state = circ.apply_gate(state, gate)
-        got[:, col] = state.data
+    # three CR_1 reflections, each followed by Hadamards on atom and photon
+    program = np.array([(1, 1, circ.H_ATOM | circ.H_PHOTON)] * 3, circ.STEP)
+    basis = np.eye(4, dtype=complex)
+    outputs = [circ.simulate_program(program, circ.QuantumState(1, v)).data for v in basis]
+    got = np.column_stack(outputs)
     swap = np.array(
         [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
     )
@@ -212,7 +209,8 @@ def _suite_scheduler_equivalence(max_n: int = 10) -> bool:
     for n in range(1, max_n + 1):
         for cutoff in range(1, n + 1):
             timeline = sched.compile_timeline(sched.TimingConfig.default(n), cutoff)
-            if sched.timeline_to_program(timeline).gates != circ.build_qft_program(n, cutoff).gates:
+            compiled = sched.timeline_to_program(timeline)
+            if not np.array_equal(compiled, circ.build_qft_program(n, cutoff)):
                 return False
             if not sched.validate_timeline(timeline).ok:
                 return False

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tables
-from .circuit import ATOM, CircuitProgram, GateOp, photon
+from .circuit import H_ATOM, H_PHOTON, STEP
 
 # Event kinds, stored as their index in KINDS.
 KINDS = ("Inject", "Reflect", "EnterDelay1", "EnterDelay2", "SwitchSet", "Emit")
@@ -26,8 +26,6 @@ INJECT, REFLECT, ENTER_DELAY1, ENTER_DELAY2, SWITCH_SET, EMIT = range(len(KINDS)
 # Settings of the cavity_out switch, stored as their index; 0 on other events.
 POSITIONS = ("", "delay2", "output", "delay1")
 DELAY2, OUTPUT, DELAY1 = 1, 2, 3
-# Hadamards applied right after a reflection, as bit flags; the atom's comes first.
-H_ATOM, H_PHOTON = 1, 2
 NO_PHOTON = 0  # photon indices start at 1
 
 EVENT = np.dtype(
@@ -37,7 +35,7 @@ EVENT = np.dtype(
         ("photon", np.int64),
         ("k", np.int64),  # CR_k setting of a Reflect, 0 on other events
         ("position", np.uint8),
-        ("hadamards", np.uint8),
+        ("hadamards", np.uint8),  # H_ATOM | H_PHOTON flags of a Reflect
     ]
 )
 
@@ -177,25 +175,15 @@ def compile_timeline(cfg: TimingConfig, K: int) -> Timeline:
     return Timeline(config=cfg, cutoff=K, events=events)
 
 
-def timeline_to_program(timeline: Timeline) -> CircuitProgram:
-    """Map the Reflect events (with their Hadamards) to a gate sequence."""
+def timeline_to_program(timeline: Timeline) -> np.ndarray:
+    """The Reflect events (with their Hadamards) as a circuit.STEP program."""
     reflects = timeline.events[timeline.events["kind"] == REFLECT]
     if np.any(reflects["k"] < 1):
         raise ValueError(f"Reflect without a CR_k setting: k={reflects['k'].min()}")
-    qubits = {j: photon(j) for j in np.unique(reflects["photon"]).tolist()}
-    cr1 = {j: GateOp.controlled_phase(1, q) for j, q in qubits.items()}
-    h = {j: GateOp.hadamard(q) for j, q in qubits.items()}
-    h_atom = GateOp.hadamard(ATOM)
-    gates: list[GateOp] = []
-    for j, k, flags in zip(
-        reflects["photon"].tolist(), reflects["k"].tolist(), reflects["hadamards"].tolist()
-    ):
-        gates.append(cr1[j] if k == 1 else GateOp("CR", qubits[j], k))
-        if flags & H_ATOM:
-            gates.append(h_atom)
-        if flags & H_PHOTON:
-            gates.append(h[j])
-    return CircuitProgram(arity=timeline.config.n, cutoff=timeline.cutoff, gates=tuple(gates))
+    program = np.empty(reflects.size, STEP)
+    for name in STEP.names:
+        program[name] = reflects[name]
+    return program
 
 
 def validate_timeline(timeline: Timeline, tol: float = 1e-9) -> TimelineReport:

@@ -1,5 +1,6 @@
 """Error-budget terms, distance oracles, sweeps, and bound validation."""
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -330,6 +331,25 @@ def test_cavity_budget_monotone_and_first_crossing(C, K, dk_mode, p):
     assert max_photons(budget, n_max=30) == first
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    C=st.tuples(st.floats(1.05, 400.0), st.floats(1.05, 400.0)).map(sorted),
+    K=st.sampled_from([None, 3, 10]),
+    dk_mode=st.sampled_from(["exact", "approximate"]),
+)
+def test_budget_non_increasing_in_cooperativity(C, K, dk_mode):
+    low, high = (
+        NoiseBudget(
+            T2_us=20.0, p=0.01, K=K, gates=cavity_params_for_cooperativity(c), dk_mode=dk_mode
+        )
+        for c in C
+    )
+    for n in range(1, 21):
+        # 1e-12 allows for rounding: cooperativities a few ulps apart
+        # move D by up to about 1e-14 either way
+        assert total_distance(n, high).D <= total_distance(n, low).D * (1.0 + 1e-12)
+
+
 def test_preset_names():
     for name in ("fig4", "fig5a", "fig5b"):
         scenarios, n_values = preset_scenarios(name)
@@ -413,6 +433,37 @@ def test_noisy_protocol_lossy_weight_below_one():
     )
     assert 0.0 < weight < 1.0
     assert np.trace(out.data).real == pytest.approx(1.0)
+
+
+def _pin_budget(gates: str) -> NoiseBudget:
+    if gates == "ideal":
+        return NoiseBudget(T2_us=20.0, p=0.01)
+    K = 2 if gates == "C=57.62 K=2" else None
+    return NoiseBudget(T2_us=20.0, p=0.01, K=K, gates=cavity_params_for_cooperativity(57.62))
+
+
+@pytest.mark.parametrize(
+    "gates, n, digest",
+    [
+        ("ideal", 3, "4c51830e39785bfdf152bdb1440a687ba63aff1df35960d29fcb5841ab718cd1"),
+        ("ideal", 4, "443ce14ae4f9b1f1736dd956107311275f2f53d2a144c977b5c32793a84ab446"),
+        ("ideal", 5, "6de7570b926ff981f23300b0d5c616920e08d575e1c933300641ebf3d1b5d31c"),
+        ("C=57.62", 3, "538ac418bd7c8726119350db313717b5071cbd8a6849a4c6b7911ac2dab84a3b"),
+        ("C=57.62", 4, "60403d65604886f86d46b86bcb9897a3101d766d9e45e296c276f8ef3edaaaad"),
+        ("C=57.62", 5, "8e010768029904422d4e4982d04e3b780d64a31462c27e83f6cdc09d61e7619f"),
+        ("C=57.62 K=2", 3, "b52f6b212055d6b04a9e8f9edce6e2d1634a239e819f00bfd6cd7079adbcc13c"),
+        ("C=57.62 K=2", 4, "4da344cc63d3e9f89413996fd288407963e2d393878aa3815d075e39219f167d"),
+        ("C=57.62 K=2", 5, "1306df2c196de126a517c2e0d8c6268b61dcef2c3a63e112eb17ca892ce37b6b"),
+    ],
+)
+def test_noisy_protocol_bits_pinned(gates, n, digest):
+    # SHA-256 of the output density matrix's bytes and the weight's repr,
+    # taken from the interpreter before it ran on step tables
+    x = np.arange(2**n)
+    amps = (x + 1) + 1j * (2**n - x)
+    state = QuantumState.from_photon_state(n, amps / np.linalg.norm(amps))
+    out, weight = simulate_noisy_protocol(n, _pin_budget(gates), state)
+    assert hashlib.sha256(out.data.tobytes() + repr(weight).encode()).hexdigest() == digest
 
 
 def test_bound_holds_small_n():

@@ -6,29 +6,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cavityqft.analysis import NoiseBudget, simulate_noisy_protocol
 from cavityqft.circuit import (
-    ATOM,
+    H_ATOM,
+    H_PHOTON,
+    STEP,
     ArityMismatch,
-    CircuitProgram,
-    GateOp,
     QuantumState,
-    QubitRef,
+    _dephase,
+    _lossy_reflection,
+    _noisy_hadamard,
     apply_gate,
     build_qft_program,
-    dephasing_channel,
     embed_qft_output,
     ideal_qft_unitary,
-    lossy_reflection,
-    noisy_hadamard,
-    photon,
     simulate_program,
-    swap_from_cr1,
 )
 
+SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
-def program_unitary(program: CircuitProgram) -> np.ndarray:
+
+def steps(*rows) -> np.ndarray:
+    """A step table from (photon, k, hadamards) rows."""
+    return np.array(list(rows), STEP)
+
+
+def program_unitary(n: int, program: np.ndarray) -> np.ndarray:
     """Column-by-column unitary of a program on the (atom, photons) register."""
-    n = program.arity
     dim = 2 ** (n + 1)
     cols = []
     for x in range(dim):
@@ -39,21 +43,7 @@ def program_unitary(program: CircuitProgram) -> np.ndarray:
     return np.array(cols).T
 
 
-def two_qubit_unitary(gates: list[GateOp]) -> np.ndarray:
-    prog = CircuitProgram(arity=1, cutoff=1, gates=tuple(gates))
-    return program_unitary(prog)
-
-
 # --- register plumbing ----------------------------------------------------
-
-
-def test_qubit_refs():
-    assert str(ATOM) == "a"
-    assert str(photon(3)) == "p3"
-    with pytest.raises(ValueError):
-        QubitRef("photon", 0)
-    with pytest.raises(ValueError):
-        QubitRef("laser", 1)
 
 
 def test_basis_state_layout():
@@ -83,17 +73,23 @@ def test_from_photon_state():
 
 
 def test_arity_checks():
+    state = QuantumState.basis(2, [0, 1])
+    for photon in (3, 0, -1):
+        with pytest.raises(ArityMismatch, match=f"photon {photon} out of range for n=2"):
+            simulate_program(steps((1, 1, 0), (photon, 1, H_PHOTON)), state)
+    with pytest.raises(ValueError, match="CR_k needs k >= 1, got 0"):
+        simulate_program(steps((1, 1, 0), (2, 0, H_ATOM)), state)
     with pytest.raises(ArityMismatch):
-        CircuitProgram(arity=2, cutoff=2, gates=(GateOp.hadamard(photon(3)),))
-    with pytest.raises(ValueError):
-        CircuitProgram(arity=2, cutoff=2, gates=(GateOp.controlled_phase(3, photon(1)),))
+        simulate_program(build_qft_program(3, 3), state)
 
 
 # --- single gates ---------------------------------------------------------
 
 
 def test_hadamard_atom():
-    state = apply_gate(QuantumState.basis(1, [0]), GateOp.hadamard(ATOM))
+    # CR_1 leaves |0>_a |0>_p alone, so the step is a Hadamard on the atom
+    state = QuantumState.basis(1, [0])
+    assert apply_gate(state, 1, 1, H_ATOM) == 1.0
     expect = np.array([1 / math.sqrt(2), 0, 1 / math.sqrt(2), 0])
     np.testing.assert_allclose(state.data, expect, atol=1e-15)
 
@@ -102,17 +98,15 @@ def test_controlled_phase_acts_on_11_only():
     phase = np.exp(2j * math.pi / 4)
     for atom_bit, photon_bit in [(0, 0), (0, 1), (1, 0), (1, 1)]:
         state = QuantumState.basis(1, [photon_bit], atom_bit=atom_bit)
-        out = apply_gate(state, GateOp.controlled_phase(2, photon(1)))
+        apply_gate(state, 1, 2, 0)
         expect = phase if atom_bit == 1 and photon_bit == 1 else 1.0
-        assert out.data[(atom_bit << 1) | photon_bit] == pytest.approx(expect)
+        assert state.data[(atom_bit << 1) | photon_bit] == pytest.approx(expect)
 
 
 def test_swap_from_cr1_identity():
-    swap = np.array(
-        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-    )
-    u = two_qubit_unitary(swap_from_cr1(1))
-    assert np.linalg.norm(u - swap, ord=2) < 1e-12
+    # three CR_1 reflections, each followed by Hadamards on atom and photon
+    u = program_unitary(1, steps(*[(1, 1, H_ATOM | H_PHOTON)] * 3))
+    assert np.linalg.norm(u - SWAP, ord=2) < 1e-12
 
 
 def test_density_evolution_matches_pure():
@@ -158,64 +152,75 @@ def test_atomic_hadamard_count():
     # two atomic Hadamards per subroutine after the merge
     for n in (1, 2, 5):
         prog = build_qft_program(n, n)
-        count = sum(1 for g in prog.gates if g.name == "H" and g.qubit == ATOM)
-        assert count == 2 * n
+        assert np.count_nonzero(prog["hadamards"] & H_ATOM) == 2 * n
 
 
 def test_truncation_drops_small_gates():
     full = build_qft_program(4, 4)
     cut = build_qft_program(4, 2)
-    dropped = [g for g in full.gates if g not in cut.gates]
-    assert dropped and all(g.name == "CR" and g.k > 2 for g in dropped)
+    dropped = full[full["k"] > 2]
+    assert dropped.size and np.all(dropped["hadamards"] == 0)
+    assert np.array_equal(full[full["k"] <= 2], cut)
+    with pytest.raises(ValueError, match="cutoff must be >= 1, got 0"):
+        build_qft_program(4, 0)
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        build_qft_program(0, 1)
 
 
 # --- channels -------------------------------------------------------------
 
 
+def _plus_atom() -> QuantumState:
+    state = QuantumState.basis(1, [0])
+    apply_gate(state, 1, 1, H_ATOM)
+    return state.to_density()
+
+
 def test_dephasing_decays_coherence():
-    plus = apply_gate(QuantumState.basis(1, [0]), GateOp.hadamard(ATOM)).to_density()
-    out = dephasing_channel(plus, ATOM, t=5.0, T2=10.0)
-    rho = out.data
+    state = _plus_atom()
+    _dephase(state, 0, math.exp(-5.0 / 10.0))
+    rho = state.data
     assert rho[0, 0] == pytest.approx(0.5)
     # off-diagonal in the atom index shrinks by exp(-t/T2)
     assert abs(rho[0, 2]) == pytest.approx(0.5 * math.exp(-0.5))
 
 
 def test_dephasing_infinite_T2_is_identity():
-    plus = apply_gate(QuantumState.basis(1, [0]), GateOp.hadamard(ATOM)).to_density()
-    out = dephasing_channel(plus, ATOM, t=5.0, T2=math.inf)
-    np.testing.assert_allclose(out.data, plus.data)
-
-
-def test_dephasing_requires_density():
-    with pytest.raises(ValueError):
-        dephasing_channel(QuantumState.basis(1, [0]), ATOM, 1.0, 10.0)
+    # with T2 = inf and p = 0 the noisy protocol is the ideal transform
+    rng = np.random.default_rng(2)
+    amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    state = QuantumState.from_photon_state(3, amps / np.linalg.norm(amps))
+    noisy, weight = simulate_noisy_protocol(3, NoiseBudget(T2_us=math.inf, p=0.0), state)
+    ideal = simulate_program(build_qft_program(3, 3), state).to_density()
+    assert weight == 1.0
+    np.testing.assert_allclose(noisy.data, ideal.data, rtol=0, atol=1e-12)
 
 
 def test_noisy_hadamard_trace_preserving():
     state = QuantumState.basis(1, [0], atom_bit=1).to_density()
-    out = noisy_hadamard(state, ATOM, p=0.1)
-    rho = out.data
-    assert np.trace(rho).real == pytest.approx(1.0)
-    ideal = noisy_hadamard(state, ATOM, p=0.0).data
-    assert not np.allclose(out.data, ideal)
+    out, ideal = state.copy(), state.copy()
+    _noisy_hadamard(out, 0, 0.1)
+    _noisy_hadamard(ideal, 0, 0.0)
+    assert np.trace(out.data).real == pytest.approx(1.0)
+    assert not np.allclose(out.data, ideal.data)
 
 
 def test_lossy_reflection_weight():
     # atom in |1>, photon in |1>: amplitude scaled by |r_down|
     state = QuantumState.basis(1, [1], atom_bit=1).to_density()
-    out, w = lossy_reflection(state, 1, photon(1), 0.9, 0.8)
+    w = _lossy_reflection(state, 1, 1, 0.9, 0.8)
     assert w == pytest.approx(0.8**2)
-    assert np.trace(out.data).real == pytest.approx(w)
+    assert np.trace(state.data).real == pytest.approx(w)
 
 
 def test_lossy_reflection_unit_r_matches_ideal():
     rng = np.random.default_rng(5)
     amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     amps /= np.linalg.norm(amps)
-    state = QuantumState(1, amps).to_density()
-    out, w = lossy_reflection(state, 2, photon(1), 1.0, 1.0)
-    ideal = apply_gate(state, GateOp.controlled_phase(2, photon(1)))
+    out = QuantumState(1, amps).to_density()
+    ideal = out.copy()
+    w = _lossy_reflection(out, 2, 1, 1.0, 1.0)
+    apply_gate(ideal, 1, 2, 0)
     assert w == pytest.approx(1.0)
     np.testing.assert_allclose(out.data, ideal.data, atol=1e-12)
 
@@ -237,17 +242,19 @@ def dense(n: int, ops: dict) -> np.ndarray:
     return out
 
 
-def _position(q: QubitRef) -> int:
-    return 0 if q == ATOM else q.index
+def cr_matrix(n: int, k: int, j: int) -> np.ndarray:
+    phase = np.exp(2j * math.pi / 2**k)
+    return np.eye(2 ** (n + 1)) + (phase - 1.0) * dense(n, {0: _P[1], j: _P[1]})
 
 
-def gate_matrix(n: int, gate: GateOp) -> np.ndarray:
-    q = _position(gate.qubit)
-    if gate.name == "H":
-        return dense(n, {q: _H})
-    assert gate.name == "CR"
-    phase = np.exp(2j * math.pi / 2**gate.k)
-    return np.eye(2 ** (n + 1)) + (phase - 1.0) * dense(n, {0: _P[1], q: _P[1]})
+def step_matrix(n: int, j: int, k: int, flags: int) -> np.ndarray:
+    """CR_k on photon j, then the flagged Hadamards, the atom's first."""
+    u = cr_matrix(n, k, j)
+    if flags & H_ATOM:
+        u = dense(n, {0: _H}) @ u
+    if flags & H_PHOTON:
+        u = dense(n, {j: _H}) @ u
+    return u
 
 
 def random_states(n: int, seed: int) -> tuple[QuantumState, QuantumState]:
@@ -264,31 +271,26 @@ def random_states(n: int, seed: int) -> tuple[QuantumState, QuantumState]:
 
 
 @st.composite
-def circuits(draw):
+def step_tables(draw):
     n = draw(st.integers(1, 4))
-    photons = st.integers(1, n).map(photon)
-    gate = st.one_of(
-        st.one_of(st.just(ATOM), photons).map(GateOp.hadamard),
-        st.builds(GateOp.controlled_phase, st.integers(1, CUTOFF), photons),
-    )
-    return n, draw(st.lists(gate, max_size=12)), draw(st.integers(0, 2**32 - 1))
+    row = st.tuples(st.integers(1, n), st.integers(1, CUTOFF), st.integers(0, H_ATOM | H_PHOTON))
+    return n, steps(*draw(st.lists(row, max_size=12))), draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=80, deadline=None)
-@given(circuits())
+@given(step_tables())
 def test_kernels_match_dense_reference(case):
-    n, gates, seed = case
+    n, program, seed = case
     u = np.eye(2 ** (n + 1))
-    for gate in gates:
-        u = gate_matrix(n, gate) @ u
-    program = CircuitProgram(arity=n, cutoff=CUTOFF, gates=tuple(gates))
+    for j, k, flags in program.tolist():
+        u = step_matrix(n, j, k, flags) @ u
     for state in random_states(n, seed):
         before = state.data.copy()
         expect = u @ before @ u.conj().T if state.density else u @ before
         np.testing.assert_allclose(simulate_program(program, state).data, expect, rtol=0, atol=1e-12)
-        stepped = state
-        for gate in gates:
-            stepped = apply_gate(stepped, gate)
+        stepped = state.copy()
+        for j, k, flags in program.tolist():
+            assert apply_gate(stepped, j, k, flags) == 1.0
         np.testing.assert_allclose(stepped.data, expect, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(state.data, before)
 
@@ -309,31 +311,48 @@ def kraus_sum(kraus: list[np.ndarray], rho: np.ndarray) -> np.ndarray:
     k=st.integers(1, CUTOFF),
 )
 def test_channels_match_kraus_sums(n, data, seed, t, T2, p, mags, k):
-    qubit = data.draw(st.one_of(st.just(ATOM), st.integers(1, n).map(photon)))
-    target = photon(data.draw(st.integers(1, n)))
+    q = data.draw(st.integers(0, n))  # bit position: 0 for the atom
+    j = data.draw(st.integers(1, n))
     _, state = random_states(n, seed)
     rho = state.data.copy()
-    q, j = _position(qubit), target.index
     eye = np.eye(2 ** (n + 1))
 
-    f = math.exp(-t / T2)
-    dephase = [math.sqrt((1 + f) / 2) * eye, math.sqrt((1 - f) / 2) * dense(n, {q: _Z})]
-    out = dephasing_channel(state, qubit, t, T2)
-    np.testing.assert_allclose(out.data, kraus_sum(dephase, rho), rtol=0, atol=1e-12)
+    def channel(apply):
+        out = state.copy()
+        result = apply(out)
+        np.testing.assert_array_equal(state.data, rho)
+        return out.data, result
 
-    h = dense(n, {q: _H})
-    flip = [math.sqrt(1 - p) * h, math.sqrt(p) * dense(n, {q: _Z}) @ h]
-    out = noisy_hadamard(state, qubit, p)
-    np.testing.assert_allclose(out.data, kraus_sum(flip, rho), rtol=0, atol=1e-12)
+    def dephasing(f, qubit):
+        return [math.sqrt((1 + f) / 2) * eye, math.sqrt((1 - f) / 2) * dense(n, {qubit: _Z})]
+
+    def flip(qubit):
+        h = dense(n, {qubit: _H})
+        return [math.sqrt(1 - p) * h, math.sqrt(p) * dense(n, {qubit: _Z}) @ h]
+
+    f = math.exp(-t / T2)
+    out, _ = channel(lambda s: _dephase(s, q, f))
+    np.testing.assert_allclose(out, kraus_sum(dephasing(f, q), rho), rtol=0, atol=1e-12)
+
+    out, _ = channel(lambda s: _noisy_hadamard(s, q, p))
+    np.testing.assert_allclose(out, kraus_sum(flip(q), rho), rtol=0, atol=1e-12)
 
     mag_up, mag_down = mags
     # M = diag(1, 1, |r_up|, |r_down|) on (photon, atom): the photon |1> branch is damped
     loss = eye - (1 - mag_up) * dense(n, {0: _P[0], j: _P[1]})
     loss -= (1 - mag_down) * dense(n, {0: _P[1], j: _P[1]})
-    kraus = [loss @ gate_matrix(n, GateOp.controlled_phase(k, target))]
-    out, weight = lossy_reflection(state, k, target, mag_up * np.exp(1j * t), -mag_down)
-    expect = kraus_sum(kraus, rho)
-    np.testing.assert_allclose(out.data, expect, rtol=0, atol=1e-12)
+    lossy = loss @ cr_matrix(n, k, j)
+    out, weight = channel(lambda s: _lossy_reflection(s, k, j, mag_up, mag_down))
+    expect = kraus_sum([lossy], rho)
+    np.testing.assert_allclose(out, expect, rtol=0, atol=1e-12)
     assert weight == pytest.approx(np.trace(expect).real, abs=1e-12)
 
-    np.testing.assert_array_equal(state.data, rho)
+    # one noisy step: dephase the atom, lossy reflection, renormalize, then
+    # the noisy atomic Hadamard and the photon Hadamard
+    out, weight = channel(
+        lambda s: apply_gate(s, j, k, H_ATOM | H_PHOTON, f, (mag_up, mag_down), p)
+    )
+    expect = kraus_sum([lossy], kraus_sum(dephasing(f, 0), rho))
+    assert weight == pytest.approx(np.trace(expect).real, abs=1e-12)
+    expect = kraus_sum([dense(n, {j: _H})], kraus_sum(flip(0), expect))
+    np.testing.assert_allclose(out * weight, expect, rtol=0, atol=1e-12)

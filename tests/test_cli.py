@@ -129,6 +129,8 @@ def test_simulate_bad_input_exit_code(capsys):
         (["--cutoff", "0"], "error: cutoff must be >= 1, got 0"),
         (["--cutoff", "-1"], "error: cutoff must be >= 1, got -1"),
         (["--cutoff", "0", "--noise"], "error: K must be >= 1"),
+        (["--n", "0", "--noise"], "error: n must be >= 1, got 0"),
+        (["--input", "1x1"], "error: input must be 3 bits of 0/1, got '1x1'"),
     ],
 )
 def test_simulate_invalid_cutoff_exit_code(capsys, argv, message):
@@ -194,6 +196,23 @@ def test_timeline_violations_in_both_formats(capsys):
     code, out = run_cli(capsys, *argv, "--format", "json")
     assert code == 1
     assert json.loads(out)["violations"] == violations
+
+
+def test_timeline_reports_program_mismatch(capsys, monkeypatch):
+    # a reference program that differs in one CR_k setting
+    reference = circ.build_qft_program
+
+    def build(n, K):
+        program = reference(n, K)
+        program["k"][-1] += 1
+        return program
+
+    monkeypatch.setattr(circ, "build_qft_program", build)
+    code, out = run_cli(capsys, "timeline", "--n", "3", "--check-equivalence", "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["program_equivalent"] is False
+    assert "violations" not in payload  # a mismatch is reported alone
 
 
 @pytest.mark.parametrize(
@@ -275,6 +294,40 @@ def test_golden_outputs_unchanged(monkeypatch, tmp_path):
     import golden
 
     assert golden.mismatches(str(tmp_path / "out.csv")) == []
+
+
+def test_benchmark_requests_pass_their_checks(monkeypatch, tmp_path):
+    # one small request of each kind the benchmark runs, through its
+    # prepare, run and check steps
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    rng = np.random.default_rng(4)
+    amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    scenario = {"cooperativity": 57.62, "T2_us": 20.0, "p": 0.01}
+    noise = {"C": 57.62, "T2_us": 20.0, "p": 0.01, "K": 2}
+    requests = [
+        {"kind": "phase-curve", "g": workloads._g_for(57.62)},
+        {"kind": "success", "config": {"N_max": 6, "scenarios": [
+            {**scenario, "scenario_id": "a", "K": None, "dk_mode": "exact"},
+            {**scenario, "scenario_id": "b", "K": 3, "dk_mode": "approximate", "T2_us": "inf"},
+        ]}},
+        {"kind": "max-photons", "C": 57.62, "T2_us": 20.0, "p": 0.01},
+        {"kind": "simulate-cli", "n": 4, "bits": "1011"},
+        {"kind": "simulate-lib", "n": 3, "K": 3, "amps": amps / np.linalg.norm(amps)},
+        {"kind": "validate", "n": 2, "budget": noise, "seed": 11},
+        {"kind": "simulate-noise", "n": 3, "bits": "101", "budget": noise},
+        {"kind": "oracle", "lambdas": [1.0, 0.6, 0.3], "seed": 5},
+        {"kind": "timeline", "n": 30, "K": 30},
+    ]
+    assert sorted(r["kind"] for r in requests) == sorted(workloads.KINDS)
+    errors = {}
+    for req in requests:
+        kind, ctx = workloads.KINDS[req["kind"]], workloads.Context(str(tmp_path))
+        if kind.prepare is not None:
+            kind.prepare(req, ctx)
+        errors[req["kind"]] = kind.check(req, kind.run(req, ctx), ctx)
+    assert errors == dict.fromkeys(workloads.KINDS)
 
 
 # --- column-wise CSV writer -------------------------------------------------

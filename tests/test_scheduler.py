@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavityqft.circuit import ATOM, GateOp, build_qft_program, photon
+from cavityqft.circuit import build_qft_program
 from cavityqft.scheduler import (
     EMIT,
     H_ATOM,
@@ -110,7 +110,7 @@ def test_program_equivalence():
     for n in (1, 2, 4, 7):
         for K in range(1, n + 1):
             tl = compile_timeline(TimingConfig.default(n), K)
-            assert timeline_to_program(tl).gates == build_qft_program(n, K).gates
+            assert np.array_equal(timeline_to_program(tl), build_qft_program(n, K))
 
 
 def test_program_rejects_reflect_without_setting():
@@ -160,7 +160,7 @@ class _Event:
     k: int | None = None
     switch: str | None = None
     position: str | None = None
-    after_gates: tuple[GateOp, ...] = ()
+    hadamards: tuple[int, ...] = ()  # bit positions of the Hadamards after a Reflect
 
 
 @dataclass(frozen=True)
@@ -180,11 +180,8 @@ def _object_compile(cfg, K):
         events.append(_Event(time=start, kind="SwitchSet", switch="cavity_out", position="delay2"))
         for r in range(3):
             t = start + r * tau_2
-            if r == 2:
-                after = (GateOp.hadamard(photon(i)),)
-            else:
-                after = (GateOp.hadamard(ATOM), GateOp.hadamard(photon(i)))
-            events.append(_Event(time=t, kind="Reflect", photon=i, k=1, after_gates=after))
+            after = (i,) if r == 2 else (0, i)
+            events.append(_Event(time=t, kind="Reflect", photon=i, k=1, hadamards=after))
             if r < 2:
                 events.append(_Event(time=t, kind="EnterDelay2", photon=i))
         events.append(
@@ -281,15 +278,15 @@ def _as_objects(timeline):
     """The columnar timeline as the oracle's event objects.
 
     A corrupted row may carry the photon Hadamard flag without a valid
-    photon; validation never reads the gates, so that gate is left out.
+    photon; validation never reads the Hadamards, so that one is left out.
     """
     events = []
     for time, kind, j, k, position, flags in timeline.events.tolist():
         after = ()
         if flags & H_ATOM:
-            after += (GateOp.hadamard(ATOM),)
+            after += (0,)
         if flags & H_PHOTON and j >= 1:
-            after += (GateOp.hadamard(photon(j)),)
+            after += (j,)
         events.append(
             _Event(
                 time=time,
@@ -298,7 +295,7 @@ def _as_objects(timeline):
                 k=k or None,
                 switch="cavity_out" if position else None,
                 position=POSITIONS[position] or None,
-                after_gates=after,
+                hadamards=after,
             )
         )
     return _ObjectTimeline(timeline.config, timeline.cutoff, tuple(events))
@@ -306,7 +303,7 @@ def _as_objects(timeline):
 
 def _reflections(timeline):
     """(time, photon, k, Hadamards) of each Reflect event of an oracle timeline."""
-    return [(e.time, e.photon, e.k, e.after_gates) for e in timeline.events if e.kind == "Reflect"]
+    return [(e.time, e.photon, e.k, e.hadamards) for e in timeline.events if e.kind == "Reflect"]
 
 
 def _reference_violations(timeline, tol=1e-9):
@@ -464,7 +461,7 @@ def _assert_schedule_facts(n, K, T_cycle):
     assert report.emit_count == n
     expected_makespan = (n - 1) * (cfg.tau_1 + cfg.T_cycle) + 2 * cfg.tau_2
     assert report.makespan == pytest.approx(expected_makespan, rel=1e-9)
-    assert timeline_to_program(timeline).gates == build_qft_program(n, K).gates
+    assert np.array_equal(timeline_to_program(timeline), build_qft_program(n, K))
     # the same schedule, bit for bit, as the object-based scheduler
     oracle = _object_compile(cfg, K)
     assert timeline_to_csv(timeline) == _object_csv(oracle)

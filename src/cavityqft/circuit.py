@@ -24,8 +24,8 @@ one quarter of the amplitudes whose atom and photon bits are both 1.  A
 density matrix over m qubits is the same array flattened to 2m qubits:
 U acts on row position a and conj(U) on column position a + m, so pure
 states and density matrices share one code path.  The noise channels
-(`_dephase`, `_noisy_hadamard`, `_lossy_reflection`) scale blocks of the
-same views.
+(`dephasing_channel`, `noisy_hadamard`, `lossy_reflection`) act in place
+on a density matrix and scale blocks of the same views.
 
 One interpreter: `run_steps` applies the rows in order, each through
 `apply_gate`, on a state it is given to update in place.
@@ -163,25 +163,27 @@ def _controlled_phase(state: QuantumState, k: int, j: int) -> None:
         _pair(state.data, m, j + m)[:, 1, :, 1] *= np.conj(phase)
 
 
-def _dephase(state: QuantumState, q: int, factor: float) -> None:
+def dephasing_channel(state: QuantumState, q: int, factor: float) -> None:
     """Scale the coherences of the qubit at bit position q by `factor`: the
     two blocks where its row and column bits differ (density matrix only)."""
+    if not state.density:
+        raise ValueError("dephasing acts on a density matrix")
     blocks = _pair(state.data, q, q + state.num_qubits)
     blocks[:, 0, :, 1] *= factor
     blocks[:, 1, :, 0] *= factor
 
 
-def _noisy_hadamard(state: QuantumState, q: int, p: float) -> None:
+def noisy_hadamard(state: QuantumState, q: int, p: float) -> None:
     """(1 - p) H rho H + p Z H rho H Z.
 
     Z-conjugation flips the sign of the qubit's coherences and leaves the
     rest alone, so the mixture scales the coherences by 1 - 2p.
     """
     _hadamard(state, q)
-    _dephase(state, q, 1.0 - 2.0 * p)
+    dephasing_channel(state, q, 1.0 - 2.0 * p)
 
 
-def _lossy_reflection(
+def lossy_reflection(
     state: QuantumState, k: int, j: int, mag_up: float, mag_down: float
 ) -> float:
     """CR_k on photon j, then the loss measurement M = diag(1, 1, |r_up|, |r_down|).
@@ -225,17 +227,17 @@ def apply_gate(
     """
     weight = 1.0
     if dephase is not None:
-        _dephase(state, 0, dephase)
+        dephasing_channel(state, 0, dephase)
     if loss is None:
         _controlled_phase(state, k, j)
     else:
-        weight = _lossy_reflection(state, k, j, *loss)
+        weight = lossy_reflection(state, k, j, *loss)
         state.data /= weight
     if hadamards & H_ATOM:
         if p is None:
             _hadamard(state, 0)
         else:
-            _noisy_hadamard(state, 0, p)
+            noisy_hadamard(state, 0, p)
     if hadamards & H_PHOTON:
         _hadamard(state, j)
     return weight
@@ -263,6 +265,8 @@ def run_steps(
         raise ValueError(f"CR_k needs k >= 1, got {ks.min()}")
     if dephasing is None:
         dephasing = [None] * len(program)
+    elif len(dephasing) != len(program):
+        raise ValueError(f"{len(dephasing)} dephasing factors for {len(program)} steps")
     weight = 1.0
     for j, k, flags, factor in zip(
         photons.tolist(), ks.tolist(), program["hadamards"].tolist(), dephasing

@@ -13,13 +13,14 @@ from cavityqft.circuit import (
     STEP,
     ArityMismatch,
     QuantumState,
-    _dephase,
-    _lossy_reflection,
-    _noisy_hadamard,
     apply_gate,
     build_qft_program,
+    dephasing_channel,
     embed_qft_output,
     ideal_qft_unitary,
+    lossy_reflection,
+    noisy_hadamard,
+    run_steps,
     simulate_program,
 )
 
@@ -81,6 +82,12 @@ def test_arity_checks():
         simulate_program(steps((1, 1, 0), (2, 0, H_ATOM)), state)
     with pytest.raises(ArityMismatch):
         simulate_program(build_qft_program(3, 3), state)
+
+
+def test_run_steps_needs_one_dephasing_factor_per_step():
+    state = QuantumState.basis(1, [0]).to_density()
+    with pytest.raises(ValueError, match="1 dephasing factors for 3 steps"):
+        run_steps(build_qft_program(1, 1), state, dephasing=[None])
 
 
 # --- single gates ---------------------------------------------------------
@@ -178,7 +185,7 @@ def _plus_atom() -> QuantumState:
 
 def test_dephasing_decays_coherence():
     state = _plus_atom()
-    _dephase(state, 0, math.exp(-5.0 / 10.0))
+    dephasing_channel(state, 0, math.exp(-5.0 / 10.0))
     rho = state.data
     assert rho[0, 0] == pytest.approx(0.5)
     # off-diagonal in the atom index shrinks by exp(-t/T2)
@@ -196,11 +203,16 @@ def test_dephasing_infinite_T2_is_identity():
     np.testing.assert_allclose(noisy.data, ideal.data, rtol=0, atol=1e-12)
 
 
+def test_dephasing_requires_density():
+    with pytest.raises(ValueError, match="density matrix"):
+        dephasing_channel(QuantumState.basis(1, [0]), 0, math.exp(-1.0 / 10.0))
+
+
 def test_noisy_hadamard_trace_preserving():
     state = QuantumState.basis(1, [0], atom_bit=1).to_density()
     out, ideal = state.copy(), state.copy()
-    _noisy_hadamard(out, 0, 0.1)
-    _noisy_hadamard(ideal, 0, 0.0)
+    noisy_hadamard(out, 0, 0.1)
+    noisy_hadamard(ideal, 0, 0.0)
     assert np.trace(out.data).real == pytest.approx(1.0)
     assert not np.allclose(out.data, ideal.data)
 
@@ -208,7 +220,7 @@ def test_noisy_hadamard_trace_preserving():
 def test_lossy_reflection_weight():
     # atom in |1>, photon in |1>: amplitude scaled by |r_down|
     state = QuantumState.basis(1, [1], atom_bit=1).to_density()
-    w = _lossy_reflection(state, 1, 1, 0.9, 0.8)
+    w = lossy_reflection(state, 1, 1, 0.9, 0.8)
     assert w == pytest.approx(0.8**2)
     assert np.trace(state.data).real == pytest.approx(w)
 
@@ -219,7 +231,7 @@ def test_lossy_reflection_unit_r_matches_ideal():
     amps /= np.linalg.norm(amps)
     out = QuantumState(1, amps).to_density()
     ideal = out.copy()
-    w = _lossy_reflection(out, 2, 1, 1.0, 1.0)
+    w = lossy_reflection(out, 2, 1, 1.0, 1.0)
     apply_gate(ideal, 1, 2, 0)
     assert w == pytest.approx(1.0)
     np.testing.assert_allclose(out.data, ideal.data, atol=1e-12)
@@ -331,10 +343,10 @@ def test_channels_match_kraus_sums(n, data, seed, t, T2, p, mags, k):
         return [math.sqrt(1 - p) * h, math.sqrt(p) * dense(n, {qubit: _Z}) @ h]
 
     f = math.exp(-t / T2)
-    out, _ = channel(lambda s: _dephase(s, q, f))
+    out, _ = channel(lambda s: dephasing_channel(s, q, f))
     np.testing.assert_allclose(out, kraus_sum(dephasing(f, q), rho), rtol=0, atol=1e-12)
 
-    out, _ = channel(lambda s: _noisy_hadamard(s, q, p))
+    out, _ = channel(lambda s: noisy_hadamard(s, q, p))
     np.testing.assert_allclose(out, kraus_sum(flip(q), rho), rtol=0, atol=1e-12)
 
     mag_up, mag_down = mags
@@ -342,7 +354,7 @@ def test_channels_match_kraus_sums(n, data, seed, t, T2, p, mags, k):
     loss = eye - (1 - mag_up) * dense(n, {0: _P[0], j: _P[1]})
     loss -= (1 - mag_down) * dense(n, {0: _P[1], j: _P[1]})
     lossy = loss @ cr_matrix(n, k, j)
-    out, weight = channel(lambda s: _lossy_reflection(s, k, j, mag_up, mag_down))
+    out, weight = channel(lambda s: lossy_reflection(s, k, j, mag_up, mag_down))
     expect = kraus_sum([lossy], rho)
     np.testing.assert_allclose(out, expect, rtol=0, atol=1e-12)
     assert weight == pytest.approx(np.trace(expect).real, abs=1e-12)

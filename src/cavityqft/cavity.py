@@ -69,9 +69,7 @@ class OperatingPoint:
     delta_S: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("delta_0", "delta_Z", "delta_S"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        _require_finite(delta_0=self.delta_0, delta_Z=self.delta_Z, delta_S=self.delta_S)
 
     @property
     def delta_up(self) -> float:
@@ -142,22 +140,44 @@ def high_cooperativity_phase(params: CavityParams, delta: float) -> float:
     return cmath.log((1.0 - 1.0j * x) / (1.0 + 1.0j * x)).imag
 
 
+def _reflect(
+    c: float, kappa: float, delta_0: float, delta_Z: float, delta_S: float
+) -> tuple[complex, complex, float]:
+    """r_up, r_down and delta_theta at one operating point, on plain numbers.
+
+    c is the cooperativity.  These are the expressions of `reflection` and
+    the spin detunings of `OperatingPoint`, so the solver and the phase
+    table get exactly what `controlled_phase` returns without building a
+    dataclass per point.
+    """
+    c_up = c / (1.0 + 2.0j * (delta_S + delta_0) / kappa)
+    c_down = c / (1.0 + 2.0j * (delta_S + delta_Z + delta_0) / kappa)
+    r_up = (c_up - 1.0) / (c_up + 1.0)
+    r_down = (c_down - 1.0) / (c_down + 1.0)
+    return r_up, r_down, (cmath.phase(r_down) - cmath.phase(r_up)) % TWO_PI
+
+
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+
+
 def controlled_phase(params: CavityParams, op: OperatingPoint) -> ReflectionResult:
     """Evaluate both spin reflections at an operating point.
 
     The relative phase delta_theta is the controlled-phase angle the
     reflection implements between the photon and the atom.
     """
-    r_up = reflection(params, op.delta_up)
-    r_down = reflection(params, op.delta_down)
-    theta_up = cmath.phase(r_up)
-    theta_down = cmath.phase(r_down)
+    r_up, r_down, delta_theta = _reflect(
+        params.cooperativity, params.kappa, op.delta_0, op.delta_Z, op.delta_S
+    )
     return ReflectionResult(
         r_up=r_up,
         r_down=r_down,
-        theta_up=theta_up,
-        theta_down=theta_down,
-        delta_theta=(theta_down - theta_up) % TWO_PI,
+        theta_up=cmath.phase(r_up),
+        theta_down=cmath.phase(r_down),
+        delta_theta=delta_theta,
     )
 
 
@@ -178,12 +198,6 @@ def default_operating_point(params: CavityParams) -> tuple[float, float]:
     return delta_0, -2.0 * delta_0
 
 
-def _delta_theta(params: CavityParams, delta_0: float, delta_Z: float, delta_S: float) -> float:
-    return controlled_phase(
-        params, OperatingPoint(delta_0=delta_0, delta_Z=delta_Z, delta_S=delta_S)
-    ).delta_theta
-
-
 def solve_stark_shift(
     params: CavityParams,
     delta_0: float,
@@ -196,17 +210,21 @@ def solve_stark_shift(
 
     Bracketed bisection on the exact phase expression; the phase curve is
     monotone decreasing over the physical branch (verified by sampling in
-    the test suite).  Raises OutOfRangeError when the target phase is not
-    reachable within the allowed tuning range.
+    the test suite).  The bisection stops once the midpoint equals an end
+    of the bracket, since the bracket cannot shrink after that.  Raises
+    OutOfRangeError when the target phase is not reachable within the
+    allowed tuning range.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if delta_S_max <= 0.0:
-        raise ValueError(f"delta_S_max must be positive, got {delta_S_max}")
+    if not math.isfinite(delta_S_max) or delta_S_max <= 0.0:
+        raise ValueError(f"delta_S_max must be finite and positive, got {delta_S_max}")
+    _require_finite(delta_0=delta_0, delta_Z=delta_Z)
     target = TWO_PI / 2.0**k
+    c, kappa = params.cooperativity, params.kappa
 
     def f(s: float) -> float:
-        return _delta_theta(params, delta_0, delta_Z, s) - target
+        return _reflect(c, kappa, delta_0, delta_Z, s)[2] - target
 
     f0 = f(0.0)
     if abs(f0) <= tol:
@@ -233,11 +251,15 @@ def solve_stark_shift(
 
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if f(mid) > 0.0:
             lo = mid
         else:
             hi = mid
     root = 0.5 * (lo + hi)
+    # lo + hi overflows only for a bracket end above half the largest float
+    _require_finite(delta_S=root)
     if abs(f(root)) > tol:
         raise OutOfRangeError(f"bisection for k={k} did not converge to {tol} rad")
     return root
@@ -250,8 +272,11 @@ def phase_curve(
     delta_S_values: list[float],
 ) -> list[tuple[float, float, float, float]]:
     """Tabulate (delta_S, delta_theta, |r_up|, |r_down|) over a Stark-shift range."""
+    _require_finite(delta_0=delta_0, delta_Z=delta_Z)
+    c, kappa = params.cooperativity, params.kappa
     rows = []
     for s in delta_S_values:
-        res = controlled_phase(params, OperatingPoint(delta_0, delta_Z, s))
-        rows.append((s, res.delta_theta, abs(res.r_up), abs(res.r_down)))
+        _require_finite(delta_S=s)
+        r_up, r_down, delta_theta = _reflect(c, kappa, delta_0, delta_Z, s)
+        rows.append((s, delta_theta, abs(r_up), abs(r_down)))
     return rows

@@ -51,10 +51,9 @@ def _emit(args, columns: dict, extra: dict | None = None) -> None:
 def cmd_phase_curve(args) -> int:
     params = cav.CavityParams(g=args.g, kappa=args.kappa, gamma=args.gamma)
     delta_0, delta_Z = cav.default_operating_point(params)
-    if args.points > 0:
-        values = list(np.linspace(args.smin, args.smax, args.points))
-    else:
-        values = []
+    if args.points < 0:
+        raise ValueError(f"points must be >= 0, got {args.points}")
+    values = list(np.linspace(args.smin, args.smax, args.points))
     curve = np.array(cav.phase_curve(params, delta_0, delta_Z, values), dtype=np.float64)
     names = ["delta_S_GHz", "delta_theta_rad", "r_up_abs", "r_down_abs"]
     columns = dict(zip(names, curve.reshape(-1, 4).T))

@@ -1,5 +1,6 @@
 """Error-budget terms, distance oracles, sweeps, and bound validation."""
 import dataclasses
+import gc
 import hashlib
 import math
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from cavityqft import analysis, cavity
 from cavityqft.analysis import (
     DegenerateOperator,
+    GateLoss,
     MeasurementDiag,
     NoiseBudget,
     Scenario,
@@ -21,6 +23,7 @@ from cavityqft.analysis import (
     postselection_distance,
     preset_scenarios,
     scenario_from_config,
+    schedule_distance,
     simulate_noisy_protocol,
     solve_gate_losses,
     sweep_success,
@@ -253,10 +256,50 @@ def test_max_photons_solves_each_operating_point_once(monkeypatch):
         return solve(params, delta_0, delta_Z, k, *args)
 
     monkeypatch.setattr(cavity, "solve_stark_shift", counted)
-    analysis._gate_loss.cache_clear()
     budget = NoiseBudget(T2_us=20.0, p=0.001, gates=cavity_params_for_cooperativity(400.0))
     assert max_photons(budget) == 60
     assert solved == list(range(1, 61))
+
+
+def test_sweep_solves_each_device_and_k_once(monkeypatch):
+    solved = []
+    solve = cavity.solve_stark_shift
+
+    def counted(params, delta_0, delta_Z, k, *args):
+        solved.append((params, k))
+        return solve(params, delta_0, delta_Z, k, *args)
+
+    monkeypatch.setattr(cavity, "solve_stark_shift", counted)
+    shared = cavity_params_for_cooperativity(80.0)
+    other = cavity_params_for_cooperativity(250.0)
+    scenarios = [
+        Scenario("a", NoiseBudget(T2_us=20.0, p=0.01, gates=shared)),
+        Scenario("b", NoiseBudget(T2_us=5.0, p=0.02, K=4, gates=shared, dk_mode="approximate")),
+        Scenario("c", NoiseBudget(T2_us=20.0, p=0.01, K=6, gates=other)),
+        Scenario("d", NoiseBudget(T2_us=20.0, p=0.01)),
+        Scenario("e", NoiseBudget(T2_us=50.0, p=0.001, gates=cavity_params_for_cooperativity(80.0))),
+    ]
+    sweep_success(list(range(1, 13)), scenarios)
+    expected = [(shared, k) for k in range(1, 13)] + [(other, k) for k in range(1, 7)]
+    assert solved == expected
+    # nothing is kept between calls
+    solved.clear()
+    sweep_success([3], scenarios[2:3])
+    assert solved == [(other, k) for k in range(1, 4)]
+
+
+def test_max_photons_keeps_no_gate_losses():
+    def alive() -> int:
+        gc.collect()
+        return sum(isinstance(obj, GateLoss) for obj in gc.get_objects())
+
+    before = alive()
+    for i in range(200):
+        budget = NoiseBudget(
+            T2_us=5.0 + 0.45 * i, p=0.02, gates=cavity_params_for_cooperativity(50.0 + 1.25 * i)
+        )
+        assert max_photons(budget) is not None
+    assert alive() == before
 
 
 def test_total_distance_monotone():
@@ -470,8 +513,46 @@ def test_bound_holds_small_n():
     budget = NoiseBudget(T2_us=20.0, p=0.01)
     report = validate_bound_small_n(2, budget, n_random=5)
     assert report.ok and report.margin >= 0.0
-    # D is approximately 2*2*p + 4*d_p for two photons with ideal gates
-    assert report.D == pytest.approx(4 * 0.01 + 4 * term_dp(5.0, 20.0))
+    # the paper's D is 2*2*p + 4*d_p for two photons with ideal gates
+    assert report.D_paper == pytest.approx(4 * 0.01 + 4 * term_dp(5.0, 20.0))
+    # D_sched dephases over the six gaps between the seven reflections
+    # (three swap reflections per photon, tau_2 = 0.25 ns apart, and CR_2
+    # at t = 5 ns; subroutine 2 starts at tau_1 + T_cycle = 20 ns)
+    gaps = (0.25, 0.25, 4.5, 15.0, 0.25, 0.25)
+    assert report.D == pytest.approx(4 * 0.01 + sum(term_dp(dt, 20.0) for dt in gaps))
+
+
+@pytest.mark.parametrize(
+    "T2_us, p, seed",
+    [
+        # validate requests of the noisy-verify benchmark, seeds 7203 and 9403
+        (5.171521295577072, 0.001710015486524417, 382597902),
+        (6.76873425329382, 0.0012348548644042765, 494049792),
+    ],
+)
+def test_bound_is_checked_against_the_schedule(T2_us, p, seed):
+    # the paper's D charges N^2 dephasing cycles, the schedule spans more
+    report = validate_bound_small_n(4, NoiseBudget(T2_us=T2_us, p=p), seed=seed, n_random=5)
+    assert report.max_trace_distance > report.D_paper
+    assert report.ok and report.max_trace_distance <= report.D
+    assert report.D == schedule_distance(4, NoiseBudget(T2_us=T2_us, p=p))
+
+
+@pytest.mark.parametrize("K", [None, 2, 4])
+@pytest.mark.parametrize("gates", ["ideal", 57.62, 400.0])
+def test_schedule_distance_differs_only_in_dephasing(K, gates):
+    # without dephasing the schedule counts the paper's gates: 2N atomic
+    # Hadamards, 3N CR_1 and N - k + 1 of each kept or discarded CR_k
+    device = gates if gates == "ideal" else cavity_params_for_cooperativity(gates)
+    for n in range(1, 7):
+        budget = NoiseBudget(T2_us=math.inf, p=0.003, K=K, gates=device)
+        assert schedule_distance(n, budget) == pytest.approx(total_distance(n, budget).D, rel=1e-12)
+        # from N = 2 the reflections span N^2 + N - 1.9 cycles, more than
+        # the N^2 the paper charges (one photon's swap spans 0.1 cycle)
+        if n >= 2:
+            dephased = NoiseBudget(T2_us=20.0, p=0.003, K=K, gates=device)
+            extra = schedule_distance(n, dephased) - schedule_distance(n, budget)
+            assert extra >= total_distance(n, dephased).D - total_distance(n, budget).D
 
 
 def test_bound_holds_lossy():

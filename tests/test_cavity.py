@@ -1,4 +1,5 @@
 """Reflection coefficient, operating point, and Stark-shift solver."""
+import cmath
 import math
 
 import numpy as np
@@ -23,6 +24,8 @@ from cavityqft.cavity import (
     solve_stark_shift,
     zeeman_splitting,
 )
+
+TWO_PI = 2.0 * math.pi
 
 
 @pytest.fixture(scope="module")
@@ -173,3 +176,133 @@ def test_phase_curve_rows(qd, op_defaults):
     assert rows[0][0] == 0.0
     assert rows[0][1] == pytest.approx(math.pi, abs=1e-9)
     assert all(0.0 < r[2] <= 1.0 and 0.0 < r[3] <= 1.0 for r in rows)
+
+
+# --- reference: the solver and phase table before the scalar kernel ---------
+#
+# These evaluate each point through an OperatingPoint and the reflection
+# expressions of `reflection` and `controlled_phase`, and bisect for a
+# fixed 200 steps.  The package must return exactly the same numbers and
+# raise exactly the same errors.
+
+
+def _reference_reflections(params, delta_0, delta_Z, delta_S):
+    op = OperatingPoint(delta_0=delta_0, delta_Z=delta_Z, delta_S=delta_S)
+
+    def r(delta):
+        c_s = params.cooperativity / (1.0 + 2.0j * delta / params.kappa)
+        return (c_s - 1.0) / (c_s + 1.0)
+
+    r_up, r_down = r(op.delta_up), r(op.delta_down)
+    return r_up, r_down, (cmath.phase(r_down) - cmath.phase(r_up)) % TWO_PI
+
+
+def _reference_solve_stark_shift(params, delta_0, delta_Z, k, delta_S_max, tol=1e-9):
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if delta_S_max <= 0.0:
+        raise ValueError(f"delta_S_max must be positive, got {delta_S_max}")
+    target = TWO_PI / 2.0**k
+
+    def f(s):
+        return _reference_reflections(params, delta_0, delta_Z, s)[2] - target
+
+    f0 = f(0.0)
+    if abs(f0) <= tol:
+        return 0.0
+    if f0 < 0.0:
+        raise OutOfRangeError(f"target phase for k={k} exceeds the phase at zero Stark shift")
+    lo = 0.0
+    hi = None
+    sweep = delta_S_max * 2.0**-40
+    while sweep < delta_S_max:
+        if f(sweep) < 0.0:
+            hi = sweep
+            break
+        lo = sweep
+        sweep *= 2.0
+    if hi is None:
+        if f(delta_S_max) >= 0.0:
+            raise OutOfRangeError(
+                f"CR_{k} not reachable with Stark shift up to {delta_S_max} GHz"
+            )
+        hi = delta_S_max
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    root = 0.5 * (lo + hi)
+    if abs(f(root)) > tol:
+        raise OutOfRangeError(f"bisection for k={k} did not converge to {tol} rad")
+    return root
+
+
+def _reference_phase_curve(params, delta_0, delta_Z, delta_S_values):
+    rows = []
+    for s in delta_S_values:
+        r_up, r_down, delta_theta = _reference_reflections(params, delta_0, delta_Z, s)
+        rows.append((s, delta_theta, abs(r_up), abs(r_down)))
+    return rows
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(1.05, 400.0),
+    st.integers(1, 60),
+    st.sampled_from([1000.0, 20000.0, STARK_RANGE_GHZ]),
+)
+def test_solve_stark_shift_matches_reference_bit_for_bit(C, k, delta_S_max):
+    params = cavity_params_for_cooperativity(C)
+    delta_0, delta_Z = default_operating_point(params)
+    args = (params, delta_0, delta_Z, k, delta_S_max)
+    assert _outcome(solve_stark_shift, *args) == _outcome(_reference_solve_stark_shift, *args)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.floats(1.05, 400.0),
+    st.lists(st.floats(-1e4, 1e7), max_size=20),
+    st.integers(0, 40),
+)
+def test_phase_curve_matches_reference_bit_for_bit(C, values, points):
+    params = cavity_params_for_cooperativity(C)
+    delta_0, delta_Z = default_operating_point(params)
+    # the CLI tabulates numpy float64 points, which take numpy's complex arithmetic
+    for shifts in (values, list(np.linspace(-50.0, 3000.0, points))):
+        got = phase_curve(params, delta_0, delta_Z, shifts)
+        expected = _reference_phase_curve(params, delta_0, delta_Z, shifts)
+        assert got == expected
+        assert [type(x) for row in got for x in row] == [type(x) for row in expected for x in row]
+
+
+@pytest.mark.parametrize("delta_S_max", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_solve_stark_shift_rejects_bad_range(qd, op_defaults, delta_S_max):
+    delta_0, delta_Z = op_defaults
+    with pytest.raises(ValueError, match="delta_S_max must be finite and positive") as info:
+        solve_stark_shift(qd, delta_0, delta_Z, 3, delta_S_max)
+    assert not isinstance(info.value, OutOfRangeError)
+
+
+@pytest.mark.parametrize(
+    "delta_0, delta_Z, shifts, message",
+    [
+        (math.nan, -1.0, [0.0], "delta_0 must be finite"),
+        (1.0, math.inf, [0.0], "delta_Z must be finite"),
+        (1.0, -2.0, [0.0, math.nan], "delta_S must be finite"),
+    ],
+)
+def test_nonfinite_detunings_rejected(qd, delta_0, delta_Z, shifts, message):
+    with pytest.raises(ValueError, match=message):
+        phase_curve(qd, delta_0, delta_Z, shifts)
+    if shifts == [0.0]:
+        with pytest.raises(ValueError, match=message):
+            solve_stark_shift(qd, delta_0, delta_Z, 2, 1000.0)

@@ -55,6 +55,26 @@ def test_phase_curve_empty_range(capsys):
     assert out.splitlines()[0] == "delta_S_GHz,delta_theta_rad,r_up_abs,r_down_abs"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--stark-max", "nan"], "error: delta_S_max must be finite and positive, got nan"),
+        (["--stark-max", "inf"], "error: delta_S_max must be finite and positive, got inf"),
+        (["--stark-max=-inf"], "error: delta_S_max must be finite and positive, got -inf"),
+        (["--stark-max", "0"], "error: delta_S_max must be finite and positive, got 0.0"),
+        (["--stark-max=-5"], "error: delta_S_max must be finite and positive, got -5.0"),
+        (["--points", "-3"], "error: points must be >= 0, got -3"),
+        (["--smin", "nan"], "error: delta_S must be finite"),
+    ],
+)
+def test_phase_curve_invalid_input_exit_code(capsys, argv, message):
+    code = main(["phase-curve", "--points", "3", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.strip() == message
+    assert captured.out == ""
+
+
 def test_success_preset_row_count(capsys):
     code, out = run_cli(capsys, "success", "--preset", "fig5b", "--n-max", "3")
     assert code == 0

@@ -6,7 +6,6 @@ from .cavity import (
     ReflectionResult,
     ZeemanConfig,
     controlled_phase,
-    cooperativity,
     default_operating_point,
     quantum_dot_params,
     reflection,

@@ -51,7 +51,8 @@ class BoundViolation(AssertionError):
 
 def term_dp(T_cycle_ns: float, T2_us: float) -> float:
     """Dephasing-vs-identity distance over one operation cycle."""
-    if T_cycle_ns < 0.0 or T2_us <= 0.0:
+    # negated comparisons so that NaN fails them
+    if not (T_cycle_ns >= 0.0 and T2_us > 0.0):
         raise ValueError("need T_cycle >= 0 and T2 > 0")
     if math.isinf(T2_us):
         return 0.0
@@ -268,7 +269,6 @@ class GateLoss:
     """Solved operating point and loss terms for one CR_k."""
 
     k: int
-    delta_S: float
     r_up_abs: float
     r_down_abs: float
     dk_exact: float
@@ -281,8 +281,6 @@ class DistanceReport:
     d_p: float
     d_H: float
     d_1: float
-    d_k: dict[int, float]
-    d_k_star: dict[int, float]
     sum_dk: float  # sum (N-k+1) d_k
     sum_dk_star: float  # sum (N-k+1) d_k*
     D: float
@@ -302,7 +300,6 @@ def _gate_loss(params: CavityParams, k: int) -> GateLoss:
     res = cav.controlled_phase(params, op)
     return GateLoss(
         k=k,
-        delta_S=delta_S,
         r_up_abs=abs(res.r_up),
         r_down_abs=abs(res.r_down),
         dk_exact=term_dk(res.r_up, res.r_down),
@@ -343,17 +340,14 @@ def _total_distance(N: int, budget: NoiseBudget, solved: dict[int, GateLoss]) ->
     d_p = term_dp(budget.T_cycle_ns, budget.T2_us)
     d_h = term_dh(budget.p)
     d_1 = 0.0
-    d_k: dict[int, float] = {}
-    d_k_star: dict[int, float] = {}
+    sum_dk = 0  # the int 0 of an empty sum, as with ideal gates for any N
     if not budget.ideal_gates:
         losses = _extend_losses(solved, budget.gates, k_eff)
         pick = (lambda g: g.dk_exact) if budget.dk_mode == "exact" else (lambda g: g.dk_approx)
         d_1 = pick(losses[1])
-        d_k = {k: pick(losses[k]) for k in range(2, k_eff + 1)}
-    if budget.K is not None:
-        d_k_star = {k: term_dk_star(k) for k in range(budget.K + 1, N + 1)}
-    sum_dk = sum((N - k + 1) * v for k, v in d_k.items())
-    sum_dk_star = sum((N - k + 1) * v for k, v in d_k_star.items())
+        sum_dk = sum((N - k + 1) * pick(losses[k]) for k in range(2, k_eff + 1))
+    # the discarded gates K+1 .. N; none when K is None or K >= N
+    sum_dk_star = sum((N - k + 1) * term_dk_star(k) for k in range(k_eff + 1, N + 1))
     D = N * N * d_p + 2 * N * d_h + 3 * N * d_1 + sum_dk + sum_dk_star
     raw = 1.0 - D
     return DistanceReport(
@@ -361,8 +355,6 @@ def _total_distance(N: int, budget: NoiseBudget, solved: dict[int, GateLoss]) ->
         d_p=d_p,
         d_H=d_h,
         d_1=d_1,
-        d_k=d_k,
-        d_k_star=d_k_star,
         sum_dk=sum_dk,
         sum_dk_star=sum_dk_star,
         D=D,
@@ -505,7 +497,7 @@ def _noisy_steps(
     when T2 is infinite) and (|r_up|, |r_down|) of each CR_k (None for
     ideal gates), taken from `solved` (extended as needed)."""
     k_eff = n if budget.K is None else min(budget.K, n)
-    timeline = compile_timeline(TimingConfig.default(n, budget.T_cycle_ns), max(k_eff, 1))
+    timeline = compile_timeline(TimingConfig.default(n, budget.T_cycle_ns), k_eff)
     losses = None
     if not budget.ideal_gates:
         losses = {

@@ -2,8 +2,7 @@
 
 All rates and detunings are ordinary frequencies in GHz (mu_B/h =
 13.996 GHz/T).  The exact finite-cooperativity reflection coefficient is
-used throughout; the high-cooperativity phase formula is kept only as a
-diagnostic.
+used throughout.
 """
 from __future__ import annotations
 
@@ -13,6 +12,9 @@ from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
 
+# Largest phase error, in rad, that `solve_stark_shift` accepts at its root.
+PHASE_TOL = 1e-9
+
 # Bohr magneton over Planck constant, ordinary-frequency convention.
 MU_B_GHZ_PER_T = 13.996
 
@@ -20,9 +22,6 @@ MU_B_GHZ_PER_T = 13.996
 QD_G = 11.0
 QD_KAPPA = 0.3
 QD_GAMMA = 28.0
-QD_LANDE_E = 0.43
-QD_LANDE_H = 0.21
-QD_B_FIELD_T = 1.93
 
 
 class DegenerateCooperativity(ValueError):
@@ -97,27 +96,19 @@ class ZeemanConfig:
 
 @dataclass(frozen=True)
 class ReflectionResult:
-    """Reflection coefficients and phases for the two spin states.
+    """Reflection coefficients of the two spin states and their relative phase.
 
-    delta_theta = theta_down - theta_up, reduced into [0, 2*pi).
-    Phases are principal-value arguments in (-pi, pi].
+    delta_theta = arg(r_down) - arg(r_up), reduced into [0, 2*pi).
     """
 
     r_up: complex
     r_down: complex
-    theta_up: float
-    theta_down: float
     delta_theta: float
 
 
 def quantum_dot_params() -> CavityParams:
     """Achievable quantum-dot device parameters (g=11, kappa=0.3, gamma=28 GHz)."""
     return CavityParams(g=QD_G, kappa=QD_KAPPA, gamma=QD_GAMMA)
-
-
-def cooperativity(params: CavityParams) -> float:
-    """On-resonant cooperativity 4 g^2 / (gamma kappa)."""
-    return params.cooperativity
 
 
 def reflection(params: CavityParams, delta: float) -> complex:
@@ -128,16 +119,6 @@ def reflection(params: CavityParams, delta: float) -> complex:
     """
     c_s = params.cooperativity / (1.0 + 2.0j * delta / params.kappa)
     return (c_s - 1.0) / (c_s + 1.0)
-
-
-def high_cooperativity_phase(params: CavityParams, delta: float) -> float:
-    """High-C limit of the reflection phase: Im ln[(1 - 2i d/kC)/(1 + 2i d/kC)].
-
-    Valid only for C >> 1 (not checked).  Empirically this agrees with
-    arg(reflection(...)) directly, with zero constant offset.
-    """
-    x = 2.0 * delta / (params.kappa * params.cooperativity)
-    return cmath.log((1.0 - 1.0j * x) / (1.0 + 1.0j * x)).imag
 
 
 def _reflect(
@@ -172,13 +153,7 @@ def controlled_phase(params: CavityParams, op: OperatingPoint) -> ReflectionResu
     r_up, r_down, delta_theta = _reflect(
         params.cooperativity, params.kappa, op.delta_0, op.delta_Z, op.delta_S
     )
-    return ReflectionResult(
-        r_up=r_up,
-        r_down=r_down,
-        theta_up=cmath.phase(r_up),
-        theta_down=cmath.phase(r_down),
-        delta_theta=delta_theta,
-    )
+    return ReflectionResult(r_up=r_up, r_down=r_down, delta_theta=delta_theta)
 
 
 def zeeman_splitting(cfg: ZeemanConfig) -> float:
@@ -204,16 +179,15 @@ def solve_stark_shift(
     delta_Z: float,
     k: int,
     delta_S_max: float,
-    tol: float = 1e-9,
 ) -> float:
     """Stark shift in [0, delta_S_max] at which delta_theta = 2*pi/2^k.
 
     Bracketed bisection on the exact phase expression; the phase curve is
     monotone decreasing over the physical branch (verified by sampling in
     the test suite).  The bisection stops once the midpoint equals an end
-    of the bracket, since the bracket cannot shrink after that.  Raises
-    OutOfRangeError when the target phase is not reachable within the
-    allowed tuning range.
+    of the bracket, since the bracket cannot shrink after that.  The root
+    must meet the target to PHASE_TOL = 1e-9 rad.  Raises OutOfRangeError
+    when the target phase is not reachable within the allowed tuning range.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -227,7 +201,7 @@ def solve_stark_shift(
         return _reflect(c, kappa, delta_0, delta_Z, s)[2] - target
 
     f0 = f(0.0)
-    if abs(f0) <= tol:
+    if abs(f0) <= PHASE_TOL:
         return 0.0
     if f0 < 0.0:
         raise OutOfRangeError(f"target phase for k={k} exceeds the phase at zero Stark shift")
@@ -260,8 +234,8 @@ def solve_stark_shift(
     root = 0.5 * (lo + hi)
     # lo + hi overflows only for a bracket end above half the largest float
     _require_finite(delta_S=root)
-    if abs(f(root)) > tol:
-        raise OutOfRangeError(f"bisection for k={k} did not converge to {tol} rad")
+    if abs(f(root)) > PHASE_TOL:
+        raise OutOfRangeError(f"bisection for k={k} did not converge to {PHASE_TOL} rad")
     return root
 
 

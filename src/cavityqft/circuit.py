@@ -122,11 +122,6 @@ class QuantumState:
             return self.copy()
         return QuantumState(self.n, np.outer(self.data, self.data.conj()), density=True)
 
-    def norm(self) -> float:
-        if self.density:
-            return float(np.trace(self.data).real)
-        return float(np.vdot(self.data, self.data).real)
-
 
 # --- in-place kernels and channels -----------------------------------------
 

@@ -53,6 +53,8 @@ def cmd_phase_curve(args) -> int:
     delta_0, delta_Z = cav.default_operating_point(params)
     if args.points < 0:
         raise ValueError(f"points must be >= 0, got {args.points}")
+    if args.kmax < 0:
+        raise ValueError(f"kmax must be >= 0, got {args.kmax}")
     values = list(np.linspace(args.smin, args.smax, args.points))
     curve = np.array(cav.phase_curve(params, delta_0, delta_Z, values), dtype=np.float64)
     names = ["delta_S_GHz", "delta_theta_rad", "r_up_abs", "r_down_abs"]
@@ -82,6 +84,8 @@ SWEEP_COLUMNS = [
 
 
 def cmd_success(args) -> int:
+    if args.n_max is not None and args.n_max < 0:
+        raise ValueError(f"n-max must be >= 0, got {args.n_max}")
     if args.preset:
         scenarios, n_values = analysis.preset_scenarios(args.preset)
     else:

@@ -27,6 +27,8 @@ INJECT, REFLECT, ENTER_DELAY1, ENTER_DELAY2, SWITCH_SET, EMIT = range(len(KINDS)
 POSITIONS = ("", "delay2", "output", "delay1")
 DELAY2, OUTPUT, DELAY1 = 1, 2, 3
 NO_PHOTON = 0  # photon indices start at 1
+# Time tolerance, in ns, of every check in `validate_timeline`.
+TIME_TOL = 1e-9
 
 EVENT = np.dtype(
     [
@@ -186,13 +188,14 @@ def timeline_to_program(timeline: Timeline) -> np.ndarray:
     return program
 
 
-def validate_timeline(timeline: Timeline, tol: float = 1e-9) -> TimelineReport:
+def validate_timeline(timeline: Timeline) -> TimelineReport:
     """Check cavity exclusivity, delay consistency, and emission ordering.
 
-    Each check runs on whole columns, and messages are built only for the
-    flagged rows.  A photon's chain is its events in timeline order; events
-    without a photon index in 1..n belong to no chain, and an Emit without
-    a photon index is reported as a violation.
+    Times are compared to TIME_TOL = 1e-9 ns.  Each check runs on whole
+    columns, and messages are built only for the flagged rows.  A photon's
+    chain is its events in timeline order; events without a photon index
+    in 1..n belong to no chain, and an Emit without a photon index is
+    reported as a violation.
     """
     cfg = timeline.config
     events = timeline.events
@@ -201,7 +204,7 @@ def validate_timeline(timeline: Timeline, tol: float = 1e-9) -> TimelineReport:
 
     reflect = kind == REFLECT
     t = time[reflect]
-    for q in np.flatnonzero(t[1:] - t[:-1] <= tol).tolist():
+    for q in np.flatnonzero(t[1:] - t[:-1] <= TIME_TOL).tolist():
         a, b = t[q : q + 2].tolist()
         violations.append(f"overlapping reflections at t={a} and t={b}")
 
@@ -228,10 +231,10 @@ def validate_timeline(timeline: Timeline, tol: float = 1e-9) -> TimelineReport:
     j, t, step = photons[rows], time[rows], kind[rows]
     same = np.append(j[1:] == j[:-1], False)
     nxt = np.append(t[1:], np.nan)
-    backwards = same & (nxt < t - tol)
+    backwards = same & (nxt < t - TIME_TOL)
     delay = np.where(step == ENTER_DELAY2, cfg.tau_2, cfg.tau_1)
     in_delay = (step == ENTER_DELAY1) | (step == ENTER_DELAY2)
-    late = same & in_delay & (np.abs(nxt - (t + delay)) > tol)
+    late = same & in_delay & (np.abs(nxt - (t + delay)) > TIME_TOL)
     unemitted = ~same & (step != EMIT)
     for q in np.flatnonzero(backwards | late | unemitted).tolist():
         p = int(j[q])

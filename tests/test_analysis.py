@@ -55,6 +55,15 @@ def test_term_dp():
     assert term_dp(5.0, 5.0) == pytest.approx(0.5 * (1 - math.exp(-1e-3)))
 
 
+@pytest.mark.parametrize(
+    "T_cycle_ns, T2_us",
+    [(math.nan, 20.0), (5.0, math.nan), (-1.0, 20.0), (5.0, 0.0), (5.0, -math.inf)],
+)
+def test_term_dp_rejects_invalid_times(T_cycle_ns, T2_us):
+    with pytest.raises(ValueError):
+        term_dp(T_cycle_ns, T2_us)
+
+
 def test_term_dh_is_p():
     assert term_dh(0.01) == 0.01
 
@@ -217,13 +226,86 @@ def test_total_distance_ideal_terms():
     report = total_distance(10, NoiseBudget(T2_us=20.0, p=0.01))
     expect = 100 * term_dp(5.0, 20.0) + 20 * 0.01
     assert report.D == pytest.approx(expect)
-    assert report.d_1 == 0.0 and not report.d_k and not report.d_k_star
+    assert report.d_1 == 0.0 and report.sum_dk == 0 and report.sum_dk_star == 0
 
 
 def test_total_distance_truncation_terms():
     report = total_distance(5, NoiseBudget(T2_us=math.inf, p=0.0, K=3))
     expect = (5 - 4 + 1) * term_dk_star(4) + (5 - 5 + 1) * term_dk_star(5)
     assert report.D == pytest.approx(expect)
+
+
+def _dict_total_distance(N, budget, losses):
+    """The budget assembly as it was when DistanceReport also kept the d_k
+    and d_k* dicts: the fields it returned, except those two."""
+    k_eff = N if budget.K is None else min(budget.K, N)
+    d_p = term_dp(budget.T_cycle_ns, budget.T2_us)
+    d_h = term_dh(budget.p)
+    d_1 = 0.0
+    d_k = {}
+    d_k_star = {}
+    if not budget.ideal_gates:
+        pick = (lambda g: g.dk_exact) if budget.dk_mode == "exact" else (lambda g: g.dk_approx)
+        d_1 = pick(losses[1])
+        d_k = {k: pick(losses[k]) for k in range(2, k_eff + 1)}
+    if budget.K is not None:
+        d_k_star = {k: term_dk_star(k) for k in range(budget.K + 1, N + 1)}
+    sum_dk = sum((N - k + 1) * v for k, v in d_k.items())
+    sum_dk_star = sum((N - k + 1) * v for k, v in d_k_star.items())
+    D = N * N * d_p + 2 * N * d_h + 3 * N * d_1 + sum_dk + sum_dk_star
+    raw = 1.0 - D
+    return dict(
+        N=N, d_p=d_p, d_H=d_h, d_1=d_1, sum_dk=sum_dk, sum_dk_star=sum_dk_star,
+        D=D, raw=raw, P_s=max(raw, 0.0),
+    )
+
+
+def _budget_configs(count=40, seed=2021):
+    """(N, budget) pairs: four edge cases, then seeded draws of N in 1..80,
+    K in {None, 1..N}, both dk modes, ideal gates or C in [1.2, 400],
+    T2 in [1, 200] us or infinite and p in [0, 0.05]."""
+    configs = [
+        (1, NoiseBudget(T2_us=math.inf, p=0.0)),
+        (80, NoiseBudget(T2_us=math.inf, p=0.0, K=80, gates=cavity_params_for_cooperativity(400.0))),
+        (80, NoiseBudget(
+            T2_us=5.0, p=0.05, K=1, gates=cavity_params_for_cooperativity(1.2), dk_mode="approximate"
+        )),
+        (1, NoiseBudget(T2_us=20.0, p=0.01, K=1, gates=cavity_params_for_cooperativity(57.62))),
+    ]
+    rng = np.random.default_rng(seed)
+    while len(configs) < count:
+        N = int(rng.integers(1, 81))
+        K = None if rng.random() < 1 / 3 else int(rng.integers(1, N + 1))
+        C = None if rng.random() < 1 / 4 else float(np.exp(rng.uniform(math.log(1.2), math.log(400.0))))
+        T2 = math.inf if rng.random() < 1 / 4 else float(rng.uniform(1.0, 200.0))
+        budget = NoiseBudget(
+            T2_us=T2,
+            p=float(rng.uniform(0.0, 0.05)),
+            K=K,
+            gates="ideal" if C is None else cavity_params_for_cooperativity(C),
+            dk_mode=str(rng.choice(["exact", "approximate"])),
+        )
+        configs.append((N, budget))
+    return configs
+
+
+def test_budget_bits_match_the_dict_assembly():
+    # every remaining DistanceReport field and max_photons, compared with ==
+    # and by type, so the int 0 of an empty sum stays pinned too
+    def typed(fields):
+        return {name: (type(value), value) for name, value in fields.items()}
+
+    for N, budget in _budget_configs():
+        # one solve of CR_1 .. CR_80 for both assemblies, as max_photons
+        # and sweep_success share theirs over N
+        losses = {} if budget.ideal_gates else solve_gate_losses(budget.gates, 80)
+        expected = [_dict_total_distance(n, budget, losses) for n in range(1, 81)]
+        for n in range(1, N + 1):
+            got = typed(dataclasses.asdict(analysis._total_distance(n, budget, losses)))
+            assert got == typed(expected[n - 1]), (n, budget)
+        assert dataclasses.asdict(total_distance(N, budget)) == expected[N - 1]
+        crossing = next((r["N"] for r in expected if r["raw"] <= 0.0), None)
+        assert max_photons(budget, n_max=80) == crossing, budget
 
 
 def test_total_distance_cavity_terms():

@@ -15,9 +15,7 @@ from cavityqft.cavity import (
     OutOfRangeError,
     ZeemanConfig,
     controlled_phase,
-    cooperativity,
     default_operating_point,
-    high_cooperativity_phase,
     phase_curve,
     quantum_dot_params,
     reflection,
@@ -39,8 +37,7 @@ def op_defaults(qd):
 
 
 def test_quantum_dot_cooperativity(qd):
-    assert cooperativity(qd) == pytest.approx(4 * 11.0**2 / (28.0 * 0.3))
-    assert qd.cooperativity == cooperativity(qd)
+    assert qd.cooperativity == pytest.approx(4 * 11.0**2 / (28.0 * 0.3))
 
 
 def test_params_validation():
@@ -61,20 +58,13 @@ def test_reflection_far_detuned_is_bare_mirror(qd):
 
 
 def test_reflection_on_resonance(qd):
-    C = cooperativity(qd)
+    C = qd.cooperativity
     assert reflection(qd, 0.0) == pytest.approx((C - 1) / (C + 1))
-
-
-def test_high_cooperativity_phase_matches_arg(qd):
-    # the large-C closed form tracks arg(r) with zero offset
-    for delta in (0.0, 2.0, 8.64, -5.0, 40.0):
-        exact = math.atan2(reflection(qd, delta).imag, reflection(qd, delta).real)
-        assert high_cooperativity_phase(qd, delta) == pytest.approx(exact, abs=2e-3)
 
 
 def test_default_operating_point_value(qd):
     delta_0, delta_Z = default_operating_point(qd)
-    C = cooperativity(qd)
+    C = qd.cooperativity
     assert delta_0 == pytest.approx(0.5 * 0.3 * math.sqrt(C**2 - 1))
     assert delta_Z == pytest.approx(-2.0 * delta_0)
     assert delta_0 == pytest.approx(8.64, abs=0.01)
@@ -82,7 +72,7 @@ def test_default_operating_point_value(qd):
 
 def test_default_operating_point_degenerate():
     weak = CavityParams(g=0.1, kappa=0.3, gamma=28.0)
-    assert cooperativity(weak) < 1.0
+    assert weak.cooperativity < 1.0
     with pytest.raises(DegenerateCooperativity):
         default_operating_point(weak)
 
@@ -162,7 +152,7 @@ def test_solve_stark_shift_out_of_range(qd, op_defaults):
 
 def test_solve_stark_shift_asymptotic_scaling(qd, op_defaults):
     delta_0, delta_Z = op_defaults
-    C = cooperativity(qd)
+    C = qd.cooperativity
     for k in (8, 10, 12, 14):
         s = solve_stark_shift(qd, delta_0, delta_Z, k, 1000.0)
         predicted = 0.3 * C * math.sqrt(2**k / (2 * math.pi))

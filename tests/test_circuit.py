@@ -51,7 +51,7 @@ def test_basis_state_layout():
     state = QuantumState.basis(2, [1, 0], atom_bit=1)
     # atom is the most significant bit, photons follow in order
     assert state.data[0b110] == 1.0
-    assert state.norm() == pytest.approx(1.0)
+    assert np.vdot(state.data, state.data).real == pytest.approx(1.0)
 
 
 def test_basis_rejects_invalid_bits():

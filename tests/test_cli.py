@@ -53,6 +53,9 @@ def test_phase_curve_empty_range(capsys):
     code, out = run_cli(capsys, "phase-curve", "--points", "0", "--kmax", "1")
     assert code == 0
     assert out.splitlines()[0] == "delta_S_GHz,delta_theta_rad,r_up_abs,r_down_abs"
+    code, out = run_cli(capsys, "phase-curve", "--points", "0", "--kmax", "0")
+    assert code == 0
+    assert out.splitlines()[1:] == ["# marks: []"]
 
 
 @pytest.mark.parametrize(
@@ -65,6 +68,7 @@ def test_phase_curve_empty_range(capsys):
         (["--stark-max=-5"], "error: delta_S_max must be finite and positive, got -5.0"),
         (["--points", "-3"], "error: points must be >= 0, got -3"),
         (["--smin", "nan"], "error: delta_S must be finite"),
+        (["--kmax", "-1"], "error: kmax must be >= 0, got -1"),
     ],
 )
 def test_phase_curve_invalid_input_exit_code(capsys, argv, message):
@@ -81,6 +85,17 @@ def test_success_preset_row_count(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("scenario_id,N,")
     assert len(lines) == 1 + 3 * 3  # three scenarios, N=1..3
+    code, out = run_cli(capsys, "success", "--preset", "fig5b", "--n-max", "0")
+    assert code == 0
+    assert out.splitlines() == [lines[0]]
+
+
+def test_success_negative_n_max_exit_code(capsys):
+    code = main(["success", "--preset", "fig5b", "--n-max", "-3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.strip() == "error: n-max must be >= 0, got -3"
+    assert captured.out == ""
 
 
 def test_success_config_file(capsys, tmp_path):

@@ -17,18 +17,36 @@ scheduler's Reflect events.
 
 Kernel layout: gates act in place on a strided view of the flat
 amplitude array (Haener & Steiger, arXiv:1704.01127), and take the bit
-position of their qubit: 0 for the atom, j for photon j.  A Hadamard on
-the qubit at bit position a works on `reshape(2**a, 2, -1)` and updates
-the two halves with two fused axpy-style passes; a CR_k multiplies the
-one quarter of the amplitudes whose atom and photon bits are both 1.  A
-density matrix over m qubits is the same array flattened to 2m qubits:
-U acts on row position a and conj(U) on column position a + m, so pure
-states and density matrices share one code path.  The noise channels
-(`dephasing_channel`, `noisy_hadamard`, `lossy_reflection`) act in place
-on a density matrix and scale blocks of the same views.
+position of their qubit: 0 for the atom, j for photon j in the natural
+order (see below).  A Hadamard on the qubit at bit position a works on
+`reshape(2**a, 2, -1)` and updates the two halves with two fused
+axpy-style passes; a CR_k multiplies the one quarter of the amplitudes
+whose atom and photon bits are both 1.  A density matrix over m qubits
+is the same array flattened to 2m qubits: U acts on row position a and
+conj(U) on column position a + m, so pure states and density matrices
+share one code path.  The noise channels (`dephasing_channel`,
+`noisy_hadamard`, `lossy_reflection`) act in place on a density matrix
+and scale blocks of the same views.
+
+Photon order: a kernel is fastest near the most significant bit, where
+its contiguous runs are longest, and subroutine i works on photon i and
+the photons after it.  So `run_steps` keeps the photons in a rotating
+order: before a step that applies a photon Hadamard to photon j, unless
+j already sits next to the atom (bit position 1), it moves the photons
+in front of j, in order, behind the last one (`_rotate`, one transpose
+copy of the row and column indices alike).  The state records the
+rotation, and `apply_gate` and `lossy_reflection` find photon j's bit
+position through it.  A QFT program thus rotates at the start of every
+subroutine after the first, and every Hadamard runs at bit position 0 or
+1.  When the program ends, or a step fails, `run_steps` rotates back to
+the natural order, the only layout callers see.  Each amplitude gets the
+same floating-point operations in either layout; only the lossy weight,
+a sum over the diagonal, depends on order, so it is summed in the
+natural order.
 
 One interpreter: `run_steps` applies the rows in order, each through
-`apply_gate`, on a state it is given to update in place.
+`apply_gate`, on a state it is given to update in place (a rotation
+replaces the state's `data` array, so read it after the run).
 `simulate_program` runs it on a copy of its input, and
 `analysis.simulate_noisy_protocol` on its own density matrix with the
 protocol's noise.
@@ -83,6 +101,9 @@ class QuantumState:
             if data.shape != (dim,):
                 raise ValueError(f"expected state vector of length {dim}")
         self.data = np.asarray(data, dtype=complex)
+        # photons 1.._shift sit behind the others: bit position 1 holds
+        # photon _shift + 1 (see `_rotate`); 0 is the natural layout
+        self._shift = 0
 
     @property
     def num_qubits(self) -> int:
@@ -149,13 +170,40 @@ def _hadamard(state: QuantumState, q: int) -> None:
         _h(state.data, q + state.num_qubits)
 
 
-def _controlled_phase(state: QuantumState, k: int, j: int) -> None:
-    """CR_k = diag(1, 1, 1, e^{i 2 pi / 2^k}) between the atom and photon j."""
+def _controlled_phase(state: QuantumState, k: int, q: int) -> None:
+    """CR_k = diag(1, 1, 1, e^{i 2 pi / 2^k}) between the atom and the photon
+    at bit position q."""
     phase = np.exp(2j * math.pi / 2**k)
-    _pair(state.data, 0, j)[:, 1, :, 1] *= phase
+    _pair(state.data, 0, q)[:, 1, :, 1] *= phase
     if state.density:
         m = state.num_qubits
-        _pair(state.data, m, j + m)[:, 1, :, 1] *= np.conj(phase)
+        _pair(state.data, m, q + m)[:, 1, :, 1] *= np.conj(phase)
+
+
+def _position(state: QuantumState, j: int) -> int:
+    """Bit position of photon j in the state's photon order."""
+    q = j - state._shift
+    return q if q >= 1 else q + state.n
+
+
+def _rotate(state: QuantumState, shift: int) -> None:
+    """Reorder the photons so that photon shift + 1 sits at bit position 1.
+
+    The photons in front of it move, in order, behind the last one: one
+    transpose copy of the state, on the row and the column index of a
+    density matrix alike.
+    """
+    if shift == state._shift:
+        return
+    n = state.n
+    t = (shift - state._shift) % n  # photons moved from the front to the back
+    axes = (2, 2**t, 2 ** (n - t))
+    if state.density:
+        view = state.data.reshape(axes + axes).transpose(0, 2, 1, 3, 5, 4)
+    else:
+        view = state.data.reshape(axes).transpose(0, 2, 1)
+    state.data = view.reshape(state.data.shape)
+    state._shift = shift
 
 
 def dephasing_channel(state: QuantumState, q: int, factor: float) -> None:
@@ -187,13 +235,20 @@ def lossy_reflection(
     amplitudes are scaled by the spin-dependent reflection magnitude.  The
     density matrix is left unnormalized; returns its trace weight.
     """
-    _controlled_phase(state, k, j)
+    q = _position(state, j)
+    _controlled_phase(state, k, q)
     for atom in (0, state.num_qubits):
         # photon |1> is the lossy branch; atom |0> (spin up) sees |r_up|
-        lossy = _pair(state.data, atom, atom + j)[:, :, :, 1]
+        lossy = _pair(state.data, atom, atom + q)[:, :, :, 1]
         lossy[:, 0] *= mag_up
         lossy[:, 1] *= mag_down
-    weight = float(np.trace(state.data).real)
+    # the trace, summed in the natural order of the diagonal whatever the
+    # photon order, so that its rounding does not depend on the layout
+    diagonal = np.diagonal(state.data)
+    if state._shift:
+        n, s = state.n, state._shift
+        diagonal = diagonal.reshape(2, 2 ** (n - s), 2**s).transpose(0, 2, 1).ravel()
+    weight = float(diagonal.sum().real)
     if weight < 1e-300:
         raise ZeroWeight("post-selection weight underflowed")
     return weight
@@ -221,10 +276,11 @@ def apply_gate(
     post-selection weight, 1.0 without loss.
     """
     weight = 1.0
+    q = _position(state, j)
     if dephase is not None:
         dephasing_channel(state, 0, dephase)
     if loss is None:
-        _controlled_phase(state, k, j)
+        _controlled_phase(state, k, q)
     else:
         weight = lossy_reflection(state, k, j, *loss)
         state.data /= weight
@@ -234,7 +290,7 @@ def apply_gate(
         else:
             noisy_hadamard(state, 0, p)
     if hadamards & H_PHOTON:
-        _hadamard(state, j)
+        _hadamard(state, q)
     return weight
 
 
@@ -250,7 +306,8 @@ def run_steps(
     `dephasing[s]` is the dephasing factor before step s, `losses[k]` the
     (|r_up|, |r_down|) of CR_k and p the atomic Hadamard's phase-flip
     probability (see `apply_gate`); leave them out for ideal gates.
-    Returns the product of the step weights.
+    Returns the product of the step weights.  The photon order rotates
+    while the steps run and is natural again on return (module docstring).
     """
     photons, ks = program["photon"], program["k"]
     outside = (photons < 1) | (photons > state.n)
@@ -263,10 +320,16 @@ def run_steps(
     elif len(dephasing) != len(program):
         raise ValueError(f"{len(dephasing)} dephasing factors for {len(program)} steps")
     weight = 1.0
-    for j, k, flags, factor in zip(
-        photons.tolist(), ks.tolist(), program["hadamards"].tolist(), dephasing
-    ):
-        weight *= apply_gate(state, j, k, flags, factor, None if losses is None else losses[k], p)
+    try:
+        for j, k, flags, factor in zip(
+            photons.tolist(), ks.tolist(), program["hadamards"].tolist(), dephasing
+        ):
+            if flags & H_PHOTON:
+                _rotate(state, j - 1)
+            loss = None if losses is None else losses[k]
+            weight *= apply_gate(state, j, k, flags, factor, loss, p)
+    finally:
+        _rotate(state, 0)
     return weight
 
 

@@ -92,7 +92,10 @@ def cmd_success(args) -> int:
         with open(args.config) as fh:
             config = json.load(fh)
         scenarios = [analysis.scenario_from_config(entry) for entry in config["scenarios"]]
-        n_values = list(range(1, int(config.get("N_max", 50)) + 1))
+        n_max = int(config.get("N_max", 50))
+        if n_max < 0:
+            raise ValueError(f"N_max must be >= 0, got {n_max}")
+        n_values = list(range(1, n_max + 1))
     if args.n_max is not None:
         n_values = [n for n in n_values if n <= args.n_max]
     rows = analysis.sweep_success(n_values, scenarios)
@@ -123,6 +126,13 @@ def cmd_simulate(args) -> int:
     n = args.n
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    # admit the size before any list or state of it is built
+    cap = circ.MAX_DENSITY_QUBITS if args.noise else circ.MAX_PURE_QUBITS
+    if n + 1 > cap:
+        path = "density" if args.noise else "pure"
+        raise ValueError(
+            f"n must be <= {cap - 1}: the {path} path is capped at {cap} qubits, got {n}"
+        )
     cutoff = args.cutoff if args.cutoff is not None else n
     bits = _parse_bits(args.input, n) if args.input else [0] * n
     state = circ.QuantumState.basis(n, bits)

@@ -368,3 +368,140 @@ def test_channels_match_kraus_sums(n, data, seed, t, T2, p, mags, k):
     assert weight == pytest.approx(np.trace(expect).real, abs=1e-12)
     expect = kraus_sum([dense(n, {j: _H})], kraus_sum(flip(0), expect))
     np.testing.assert_allclose(out * weight, expect, rtol=0, atol=1e-12)
+
+
+# --- photon order in run_steps ---------------------------------------------
+#
+# run_steps rotates the photons so that the photon being Hadamard-rotated
+# sits next to the atom.  Only the addresses of the amplitudes change, so
+# its results must equal, bit for bit, those of the kernels applied at the
+# natural bit positions (atom 0, photon j at j), as below.
+
+_REF_SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+
+def _ref_pair(flat, i, j):
+    return flat.reshape(2**i, 2, 2 ** (j - i - 1), 2, -1)
+
+
+def _ref_h(flat, a):
+    halves = flat.reshape(2**a, 2, -1)
+    lo, hi = halves[:, 0], halves[:, 1]
+    lo += hi
+    lo *= _REF_SQRT_HALF
+    hi *= -2.0 * _REF_SQRT_HALF
+    hi += lo
+
+
+def _ref_dephase(flat, m, factor):
+    blocks = _ref_pair(flat, 0, m)
+    blocks[:, 0, :, 1] *= factor
+    blocks[:, 1, :, 0] *= factor
+
+
+def reference_run(program, state, dephasing=None, losses=None, p=None):
+    """(data, weight) of the program on a copy of `state`, every kernel at
+    the natural bit position of its qubit."""
+    data = state.data.copy()
+    flat = data.reshape(-1)
+    m = state.num_qubits
+    offsets = (0, m) if state.density else (0,)  # row, then column index bits
+    weight = 1.0
+    for s, (j, k, flags) in enumerate(program.tolist()):
+        if dephasing is not None and dephasing[s] is not None:
+            _ref_dephase(flat, m, dephasing[s])
+        phase = np.exp(2j * math.pi / 2**k)
+        _ref_pair(flat, 0, j)[:, 1, :, 1] *= phase
+        if state.density:
+            _ref_pair(flat, m, j + m)[:, 1, :, 1] *= np.conj(phase)
+        step = 1.0
+        if losses is not None:
+            for atom in offsets:
+                lossy = _ref_pair(flat, atom, atom + j)[:, :, :, 1]
+                lossy[:, 0] *= losses[k][0]
+                lossy[:, 1] *= losses[k][1]
+            step = float(np.trace(data).real)
+            data /= step
+        weight *= step
+        if flags & H_ATOM:
+            for a in offsets:
+                _ref_h(flat, a)
+            if p is not None:
+                _ref_dephase(flat, m, 1.0 - 2.0 * p)
+        if flags & H_PHOTON:
+            for a in offsets:
+                _ref_h(flat, a + j)
+    return data, weight
+
+
+@st.composite
+def layout_programs(draw, max_n):
+    """Random step tables, or QFT programs with relabelled photons, rows
+    dropped or repeated, cut off anywhere (mid-rotation included)."""
+    n = draw(st.integers(1, max_n))
+    if draw(st.booleans()):
+        flags = st.integers(0, H_ATOM | H_PHOTON)
+        row = st.tuples(st.integers(1, n), st.integers(1, CUTOFF), flags)
+        return n, steps(*draw(st.lists(row, max_size=24)))
+    qft = build_qft_program(n, draw(st.integers(1, n)))
+    label = [0, *draw(st.permutations(range(1, n + 1)))]
+    counts = draw(st.lists(st.integers(0, 2), min_size=len(qft), max_size=len(qft)))
+    rows = [(label[j], k, f) for (j, k, f), c in zip(qft.tolist(), counts) for _ in range(c)]
+    return n, steps(*rows[: draw(st.integers(0, len(rows)))])
+
+
+def random_pure(n: int, seed: int) -> QuantumState:
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(2 ** (n + 1)) + 1j * rng.standard_normal(2 ** (n + 1))
+    return QuantumState(n, amps / np.linalg.norm(amps))
+
+
+def _assert_same_run(program, state, *noise):
+    expect, expect_weight = reference_run(program, state, *noise)
+    out = state.copy()
+    weight = run_steps(program, out, *noise)
+    assert out._shift == 0
+    assert out.data.tobytes() == expect.tobytes()
+    assert weight == expect_weight
+
+
+@settings(max_examples=60, deadline=None)
+@given(layout_programs(8), st.integers(0, 2**32 - 1))
+def test_photon_order_is_bit_identical_pure(case, seed):
+    n, program = case
+    _assert_same_run(program, random_pure(n, seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(layout_programs(4), st.data())
+def test_photon_order_is_bit_identical_noisy_density(case, data):
+    n, program = case
+    factor = st.one_of(st.none(), st.floats(0.0, 1.0))
+    dephasing = data.draw(st.lists(factor, min_size=len(program), max_size=len(program)))
+    mags = st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 1.0))
+    table = st.fixed_dictionaries({k: mags for k in range(1, CUTOFF + 1)})
+    losses = data.draw(st.one_of(st.none(), table))
+    p = data.draw(st.one_of(st.none(), st.floats(0.0, 0.5)))
+    state = random_states(n, data.draw(st.integers(0, 2**32 - 1)))[1]
+    _assert_same_run(program, state, dephasing, losses, p)
+
+
+def test_qft_programs_are_bit_identical():
+    rng = np.random.default_rng(11)
+    for n in range(1, 15):
+        state = random_pure(n, int(rng.integers(2**32)))
+        for K in range(1, n + 1) if n <= 8 else sorted({1, n // 2, n}):
+            _assert_same_run(build_qft_program(n, K), state)
+
+
+def test_run_steps_restores_the_natural_layout_when_a_step_fails():
+    # photon 2's Hadamard rotates photon 1 to the back; the next step fails
+    # for want of a loss entry for CR_2
+    _, state = random_states(3, 5)
+    program = steps((2, 1, H_PHOTON), (1, 2, 0))
+    losses = {1: (0.9, 0.8)}
+    expect, _ = reference_run(program[:1], state, None, losses)
+    with pytest.raises(KeyError):
+        run_steps(program, state, None, losses)
+    assert state._shift == 0
+    assert state.data.tobytes() == expect.tobytes()

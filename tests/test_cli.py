@@ -118,6 +118,7 @@ def test_success_config_file(capsys, tmp_path):
         {"scenarios": [{"T2_us": 20, "p": None}]},
         {"scenarios": 5},
         {"scenarios": [{"T2_us": 20, "p": 0.01, "T_cycle_ns": 0}]},
+        {"N_max": -3, "scenarios": [{"T2_us": 20, "p": 0.01}]},
     ],
 )
 def test_success_malformed_config_exit_code(capsys, tmp_path, config):
@@ -166,6 +167,16 @@ def test_simulate_bad_input_exit_code(capsys):
         (["--cutoff", "0", "--noise"], "error: K must be >= 1"),
         (["--n", "0", "--noise"], "error: n must be >= 1, got 0"),
         (["--input", "1x1"], "error: input must be 3 bits of 0/1, got '1x1'"),
+        # the size is admitted before the input bits or any state is built
+        (["--n", "20"], "error: n must be <= 19: the pure path is capped at 20 qubits, got 20"),
+        (
+            ["--n", "8", "--noise"],
+            "error: n must be <= 7: the density path is capped at 8 qubits, got 8",
+        ),
+        (
+            ["--n", "1000000000000"],
+            "error: n must be <= 19: the pure path is capped at 20 qubits, got 1000000000000",
+        ),
     ],
 )
 def test_simulate_invalid_cutoff_exit_code(capsys, argv, message):
@@ -552,10 +563,16 @@ def test_simulate_matches_row_writer(capsys, n, bits, K):
             ["--n", "5", "--input", "10110", "--noise", "--cooperativity", "57.62"],
             "0c0721faeabf80c48189f997d6164d224d48ef8465c159a65b56540d0a72a001",
         ),
+        (
+            ["--n", "17", "--cutoff", "9", "--input", "10110011100010110"],
+            "0642d93bd639889d8f4f22163ca367c814ea28eced18c308753e14ca5132b75f",
+        ),
     ],
 )
 def test_simulate_output_digest(capsys, argv, digest):
-    # SHA-256 of the output of the row-by-row writer, before the column-wise one
+    # SHA-256 of the output of the row-by-row writer, before the column-wise
+    # one; the n = 17 case is that of the kernels at the natural bit
+    # positions, before run_steps rotated the photon order
     code, out = run_cli(capsys, "simulate", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
